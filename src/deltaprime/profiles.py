@@ -78,13 +78,6 @@ class PotentialProfile:
         return (float(self.xi[0]), float(self.xi[-1]))
 
     @property
-    def min_node_spacing(self) -> float | None:
-        """Smallest node gap of a sampled profile; None for piecewise kind."""
-        if self.kind == SAMPLED:
-            return float(np.min(np.diff(self.xi)))
-        return None
-
-    @property
     def is_zero(self) -> bool:
         if self.kind == PIECEWISE:
             return all(all(c == 0.0 for c in s.coeffs) for s in self.segments)

@@ -11,9 +11,7 @@ into a Dirichlet pair.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,41 +61,13 @@ class NonResonant:
 Classification = Resonant | NonResonant
 
 
-def _thread_count() -> int:
-    """Parallelism cap from DELTAPRIME_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("DELTAPRIME_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InvalidInputError(
-            f"DELTAPRIME_THREADS: expected an integer, got {raw!r}"
-        ) from None
-    if n <= 0:
-        return os.cpu_count() or 1
-    return n
-
-
-#: stack size for batched scan integrations; bounds the dilution of the
-#: per-alpha error control in the shared adaptive stepping
-SCAN_CHUNK = 64
-
-
 def _scan_values(profile, alphas):
-    """Loose-tolerance g on the scan grid, batched in chunks of SCAN_CHUNK.
+    """g on the scan grid, from one ``shoot_batch`` call.
 
-    Chunks are independent and map over a thread pool capped by
-    DELTAPRIME_THREADS; results merge in grid order, so the output is
-    deterministic regardless of the thread count.
+    Every value is a tight-tolerance shoot, bit for bit what ``shoot`` gives
+    at that alpha, so refinement can start from the scanned bracket ends.
     """
-    chunks = [alphas[i : i + SCAN_CHUNK] for i in range(0, len(alphas), SCAN_CHUNK)]
-    run = lambda chunk: shoot_batch(profile, chunk)[1]
-    n = _thread_count()
-    if n == 1 or len(chunks) < 2:
-        parts = [run(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            parts = list(pool.map(run, chunks))
-    return [float(g) for part in parts for g in part]
+    return [float(g) for g in shoot_batch(profile, alphas)[1]]
 
 
 def _brackets_from_scan(alphas, gvals):
@@ -136,41 +106,19 @@ def _brackets_from_scan(alphas, gvals):
     return brackets, tangencies
 
 
-def _refine_and_package(profile, a, b) -> ResonantValue | None:
-    """Tight refinement of a loose bracket; None when the tight signs agree.
+def _refine_and_package(profile, a, b, fa, fb) -> ResonantValue:
+    """Refine the scanned sign-change bracket [a, b] with g(a) = fa, g(b) = fb.
 
-    Two stages: a cheap loose-tolerance squeeze of the bracket, then the
-    tight-tolerance refinement that all reported values come from.  If the
-    loose and tight mismatch functions disagree about the squeezed bracket
-    (possible within the loose noise floor of a root) the tight stage falls
-    back to the original bracket.
+    a == b is an exact grid zero.  Raises NumericalFailureError when the
+    refined root fails the residual check.
     """
-    g = lambda x: neumann_mismatch(profile, x)
-    fa, fb = g(a), g(b)
-    if a < b and fa != 0.0 and fb != 0.0:
-        if math.copysign(1.0, fa) == math.copysign(1.0, fb):
-            warnings.warn(
-                f"bracket [{a}, {b}] lost its sign change at tight tolerance; "
-                "skipped (decrease scan_step)",
-                NearTangencyWarning,
-                stacklevel=3,
-            )
-            return None
-    mid = 0.5 * (a + b)
-    xtol = max(1e-13, 8.0 * abs(mid) * np.finfo(float).eps)
     if a == b:
         root, bracket = a, (a, a)
     else:
-        g_loose = lambda x: float(shoot_batch(profile, [x])[1][0])
-        try:
-            la, _, (sa, sb), _ = refine_bracket(
-                g_loose, a, b, xtol=max(1e-4, xtol), max_iter=60
-            )
-            if sa == sb:  # loose stage hit an exact zero
-                sa, sb = max(a, la - 1e-4), min(b, la + 1e-4)
-            root, _, bracket, _ = refine_bracket(g, sa, sb, xtol=xtol, max_iter=200)
-        except ValueError:
-            root, _, bracket, _ = refine_bracket(g, a, b, fa, fb, xtol=xtol, max_iter=200)
+        mid = 0.5 * (a + b)
+        xtol = max(1e-13, 8.0 * abs(mid) * np.finfo(float).eps)
+        g = lambda x: neumann_mismatch(profile, x)
+        root, _, bracket, _ = refine_bracket(g, a, b, fa, fb, xtol=xtol, max_iter=200)
     root = float(root)
     bracket = (float(bracket[0]), float(bracket[1]))
     fd = shoot(profile, root, 0.0)
@@ -195,9 +143,10 @@ def find_resonances(
 ) -> list[ResonantValue]:
     """All resonant couplings in [alpha_min, alpha_max], sorted ascending.
 
-    g is scanned on a uniform grid at a loose integrator tolerance, sign
-    changes are bracketed, and each bracket is refined at the tight tolerance
-    by safeguarded bisection with secant acceleration.  alpha = 0 (resonant
+    g is scanned on a uniform grid by one ``shoot_batch`` call at the tight
+    default tolerance, sign changes are bracketed, and each bracket is
+    refined by safeguarded bisection with secant acceleration, starting
+    from the scanned values at its ends.  alpha = 0 (resonant
     for every profile, with a constant eigenfunction and theta = 1) is
     inserted analytically and excluded from numeric scanning within
     |alpha| < scan_step/2: g has a tangential zero there for delta-prime-like
@@ -231,9 +180,7 @@ def find_resonances(
         half = scan_step / 2.0
         found.append(ResonantValue(0.0, 1.0, 0.0, (-half, half)))
     for i, j in brackets:
-        rv = _refine_and_package(profile, kept[i], kept[j])
-        if rv is not None:
-            found.append(rv)
+        found.append(_refine_and_package(profile, kept[i], kept[j], gvals[i], gvals[j]))
 
     found.sort(key=lambda rv: rv.alpha)
     deduped: list[ResonantValue] = []
@@ -251,13 +198,11 @@ def _nearest_local_root(profile, alpha, window, scan_step):
     lo, hi = alpha - window, alpha + window
     n_cells = max(2, int(math.ceil((hi - lo) / scan_step)))
     grid = list(np.linspace(lo, hi, n_cells + 1))
-    gvals = [neumann_mismatch(profile, a) for a in grid]
+    gvals = _scan_values(profile, grid)
     brackets, _ = _brackets_from_scan(grid, gvals)
     best = None
     for i, j in brackets:
-        rv = _refine_and_package(profile, grid[i], grid[j])
-        if rv is None:
-            continue
+        rv = _refine_and_package(profile, grid[i], grid[j], gvals[i], gvals[j])
         if best is None or abs(rv.alpha - alpha) < abs(best.alpha - alpha):
             best = rv
     return best

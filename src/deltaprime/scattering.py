@@ -4,14 +4,15 @@
   only.  Resonant coupling theta transmits R = (1-theta^2)/(1+theta^2),
   T = 2*theta/(1+theta^2); the non-resonant barrier is opaque (R=-1, T=0).
   Independent of the wavenumber k.
-* ``finite_coeffs``: the exact coefficients at scale eps > 0, from the 4x4
-  complex matching system at the edges x = +-eps.
-* ``asymptotic_coeffs``: the leading small-kappa expansion of that system,
+* ``finite_coeffs``: the exact coefficients at scale eps > 0, in closed form
+  from the boundary data of the matching conditions at the edges x = +-eps.
+* ``asymptotic_coeffs``: the leading small-kappa expansion of those,
   built from boundary data at kappa = 0 and the determinant slope q(alpha).
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,50 +60,19 @@ def limit_coeffs(c: Classification) -> ScatteringCoefficients:
     raise InvalidInputError(f"limit_coeffs: expected a Classification, got {type(c).__name__}")
 
 
-def _solve_small_complex(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Direct elimination with partial pivoting for a small dense complex system.
-
-    Raises NumericalFailureError with the running determinant estimate when a
-    pivot falls below 1e-13 of its row scale.
-    """
-    A = np.array(A, dtype=complex)
-    b = np.array(b, dtype=complex)
-    n = A.shape[0]
-    det = complex(1.0)
-    row_scale = np.max(np.abs(A), axis=1)
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(A[col:, col])))
-        scale = max(row_scale[piv], 1e-300)
-        if abs(A[piv, col]) < 1e-13 * scale:
-            raise NumericalFailureError(
-                f"matching system is singular or ill-conditioned: pivot "
-                f"{abs(A[piv, col]):.3e} below 1e-13 of row scale {scale:.3e}; "
-                f"determinant estimate {det * A[piv, col]:.6e}"
-            )
-        if piv != col:
-            A[[col, piv]] = A[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
-            row_scale[[col, piv]] = row_scale[[piv, col]]
-            det = -det
-        det *= A[col, col]
-        for r in range(col + 1, n):
-            m = A[r, col] / A[col, col]
-            A[r, col:] -= m * A[col, col:]
-            b[r] -= m * b[col]
-    x = np.zeros(n, dtype=complex)
-    for r in range(n - 1, -1, -1):
-        x[r] = (b[r] - A[r, r + 1 :] @ x[r + 1 :]) / A[r, r]
-    return x
-
-
 def finite_coeffs(
     profile: PotentialProfile, alpha: float, k: float, eps: float
 ) -> ScatteringCoefficients:
     """Exact coefficients at scale eps: match value and slope at x = +-eps.
 
     The interior solution is a combination of the fundamental solutions at
-    kappa = eps*k; the unknowns (R, A, B, T) solve a 4x4 complex system whose
-    entries are their boundary data.
+    kappa = eps*k.  Eliminating its amplitudes from the matching conditions
+    leaves, with D = u1' - i*kappa*(u1 + v1') - kappa^2*v1,
+
+        R = -e^{-2i kappa} (u1' - i kappa u1 + i kappa v1' + kappa^2 v1) / D
+        T = -2 i kappa e^{-2i kappa} / D
+
+    Raises NumericalFailureError when D is zero or not finite.
     """
     if not (np.isfinite(k) and k > 0):
         raise InvalidInputError(f"finite_coeffs: k must be positive, got {k}")
@@ -110,20 +80,16 @@ def finite_coeffs(
         raise InvalidInputError(f"finite_coeffs: eps must be positive, got {eps}")
     kappa = eps * k
     fd = shoot(profile, alpha, kappa * kappa)
-    e = np.exp(1j * kappa)
     ik = 1j * kappa
-    A = np.array(
-        [
-            [-e, 1.0, 0.0, 0.0],
-            [ik * e, 0.0, 1.0, 0.0],
-            [0.0, fd.u1, fd.v1, -e],
-            [0.0, fd.du1, fd.dv1, -ik * e],
-        ],
-        dtype=complex,
-    )
-    rhs = np.array([1.0 / e, ik / e, 0.0, 0.0], dtype=complex)
-    x = _solve_small_complex(A, rhs)
-    return ScatteringCoefficients(complex(x[0]), complex(x[3]), FINITE)
+    den = fd.du1 - ik * (fd.u1 + fd.dv1) - kappa * kappa * fd.v1
+    if den == 0 or not cmath.isfinite(den):
+        raise NumericalFailureError(
+            f"finite_coeffs: matching determinant D = {den} at alpha={alpha}, kappa={kappa}"
+        )
+    phase = cmath.exp(-2j * kappa)
+    R = -phase * (fd.du1 - ik * fd.u1 + ik * fd.dv1 + kappa * kappa * fd.v1) / den
+    T = -2j * kappa * phase / den
+    return ScatteringCoefficients(R, T, FINITE)
 
 
 def q_factor(profile: PotentialProfile, alpha: float) -> float:

@@ -1,9 +1,23 @@
 """Fundamental-solution boundary data for -w'' + alpha*psi(xi)*w = kappa2*w.
 
-Both fundamental solutions u (u(-1)=1, u'(-1)=0) and v (v(-1)=0, v'(-1)=1)
-are integrated across [-1, 1] as one first-order system so they share step
-control.  Integration restarts at every profile breakpoint, so
-discontinuities of the potential never sit inside a step.
+u (u(-1)=1, u'(-1)=0) and v (v(-1)=0, v'(-1)=1) are the columns of the
+transfer matrix of y' = A y, y = (w, w'), A = [[0, 1], [alpha*psi - kappa2, 0]]
+across [-1, 1].  It is built from fourth-order Magnus steps with two Gauss
+nodes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009), each the closed-form
+exponential of a traceless 2x2 matrix, so every step is unimodular.  Step
+matrices form (alpha, step) arrays that are multiplied pairwise in a tree.
+
+[-1, 1] is split at the profile breakpoints.  A constant piece is one exact
+step.  Every other piece is split into base cells (a polynomial segment is
+one cell; a sampled profile has one per node interval, on which psi is
+linear), and each cell into n steps, n a power of two of at least
+START_RESOLUTION * width * sqrt(max|alpha*psi - kappa2|).
+
+With P_n the transfer matrix at n steps per cell, R_n = P_n + (P_n - P_{n/2})/15
+is its Richardson extrapolation and |R_2n - R_n|/63 the error estimate of
+R_2n.  n doubles, per alpha, until that estimate is at most
+rtol*max|R_2n| + atol; R_2n is returned.  More than MAX_STEPS steps, or a
+non-finite state, raises NumericalFailureError instead.
 
 Everything downstream (resonance detection, the coupling ratio, scattering
 coefficients) consumes only the boundary values returned here.
@@ -11,10 +25,13 @@ coefficients) consumes only the boundary values returned here.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from numpy.polynomial.polynomial import polyval
 
 from .errors import NumericalFailureError
 from .profiles import PIECEWISE, PotentialProfile
@@ -24,10 +41,18 @@ from .profiles import PIECEWISE, PotentialProfile
 RTOL = 1e-12
 ATOL = 1e-14
 
-#: Looser tolerance used only for bracket detection during coarse scans;
-#: every reported quantity is recomputed at the tight defaults.
-SCAN_RTOL = 1e-9
-SCAN_ATOL = 1e-11
+#: steps across [-1, 1] beyond which a shoot fails instead of refining further
+MAX_STEPS = 2**16
+
+#: the first try has step * sqrt(max|alpha*psi - kappa2|) <= 1 / START_RESOLUTION;
+#: coarser steps would only add doublings, since the tight defaults fail there
+START_RESOLUTION = 8.0
+
+#: alpha*step elements per block of step matrices; bounds memory of large batches
+BLOCK_ELEMENTS = 2**17
+
+_GAUSS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+_COMMUTATOR = math.sqrt(3.0) / 12.0
 
 
 @dataclass(frozen=True)
@@ -36,8 +61,8 @@ class FundamentalData:
 
     wronskian_defect = |u1*dv1 - du1*v1 - 1| measures integration quality;
     the exact Wronskian is identically 1.  In double precision the defect
-    acquires a floor of order eps_machine * |u1*dv1|, so it degrades for
-    strongly hyperbolic runs (|alpha| beyond ~60 on the builtin profiles).
+    acquires a floor of order eps_machine * |u1*dv1|, so it grows for
+    strongly hyperbolic runs; rel_wronskian_defect divides that floor out.
     """
 
     u1: float
@@ -46,68 +71,173 @@ class FundamentalData:
     dv1: float
     wronskian_defect: float
 
+    @property
+    def rel_wronskian_defect(self) -> float:
+        """|u1*dv1 - du1*v1 - 1| / max(1, |u1*dv1|)."""
+        return self.wronskian_defect / max(1.0, abs(self.u1 * self.dv1))
 
-def _pieces(profile: PotentialProfile):
-    """Split [-1, 1] at profile breakpoints.
 
-    Each piece carries the local profile description: None outside the
-    support, a constant-first coefficient tuple on a polynomial segment,
-    or "interp" inside a sampled support.
+@dataclass(frozen=True)
+class _Piece:
+    """A stretch of [-1, 1] on which psi is smooth, with base cells at ``edges``.
+
+    ``constant`` is psi's value on a constant piece and None elsewhere;
+    there ``psi`` evaluates the profile and ``peak`` estimates max|psi|.
     """
-    cuts = [-1.0, 1.0]
-    cuts.extend(b for b in profile.breakpoints if -1.0 < b < 1.0)
-    cuts = sorted(set(cuts))
 
-    pieces = []
+    edges: np.ndarray
+    constant: float | None = None
+    psi: Callable | None = None
+    peak: float = 0.0
+
+
+def _pieces(profile: PotentialProfile) -> list[_Piece]:
+    """Split [-1, 1] at profile breakpoints."""
+    cuts = sorted({-1.0, 1.0, *(b for b in profile.breakpoints if -1.0 < b < 1.0)})
     lo, hi = profile.support
+    pieces = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         mid = 0.5 * (a + b)
+        edges = np.array([a, b])
         if mid < lo or mid > hi:
-            pieces.append((a, b, None))
+            pieces.append(_Piece(edges, constant=0.0))
         elif profile.kind == PIECEWISE:
-            seg = next(s for s in profile.segments if s.a <= mid <= s.b)
-            pieces.append((a, b, seg.coeffs))
+            coeffs = next(s for s in profile.segments if s.a <= mid <= s.b).coeffs
+            if not any(coeffs[1:]):
+                pieces.append(_Piece(edges, constant=coeffs[0]))
+                continue
+            psi = partial(polyval, c=np.array(coeffs))
+            peak = float(np.max(np.abs(psi(np.linspace(a, b, 9)))))
+            pieces.append(_Piece(edges, psi=psi, peak=peak))
         else:
-            pieces.append((a, b, "interp"))
+            psi = partial(np.interp, xp=profile.xi, fp=profile.psi)
+            peak = float(np.max(np.abs(profile.psi)))
+            pieces.append(_Piece(profile.xi, psi=psi, peak=peak))
     return pieces
 
 
-def _psi_scalar_factory(profile: PotentialProfile, local):
-    """Fast scalar psi(xi) on one piece."""
-    if local is None:
-        return lambda xi: 0.0
-    if local == "interp":
-        xi_nodes, psi_nodes = profile.xi, profile.psi
-        return lambda xi: float(np.interp(xi, xi_nodes, psi_nodes))
-    rev = tuple(reversed(local))  # highest power first for Horner
+def _step_matrices(alphas, kappa2, h, psi1, psi2):
+    """exp(Omega) of every step, as a (2, 2, alpha, step) array.
 
-    def horner(xi: float, _c=rev) -> float:
-        acc = 0.0
-        for c in _c:
-            acc = acc * xi + c
-        return acc
+    ``h``, ``psi1`` and ``psi2`` hold each step's width and psi at its two
+    Gauss nodes.  With p = alpha*psi - kappa2 the Magnus exponent is
+    Omega = [[a, h], [c, -a]], a = sqrt(3)/12 h^2 (p1 - p2),
+    c = h (p1 + p2)/2, and Omega^2 = (a^2 + h c) I.
+    """
+    al = alphas[:, None]
+    a = al * (_COMMUTATOR * h * h * (psi1 - psi2))
+    c = al * (0.5 * h * (psi1 + psi2)) - h * kappa2
+    s2 = a * a + h * c
+    r = np.sqrt(np.abs(s2))
+    hyper = s2 > 0.0
+    cosine = np.where(hyper, np.cosh(r), np.cos(r))
+    sine = np.where(hyper, np.sinh(r), np.sin(r)) / r
+    sine[r == 0.0] = 1.0
+    sa = sine * a
+    m = np.empty((2, 2) + a.shape)
+    m[0, 0] = cosine + sa
+    m[0, 1] = sine * h
+    m[1, 0] = sine * c
+    m[1, 1] = cosine - sa
+    return m
 
-    return horner
+
+def _matmul(left, right):
+    """2x2 products over the trailing axes of (2, 2, ...) arrays."""
+    return left[:, :1] * right[:1] + left[:, 1:] * right[1:]
 
 
-def _integrate(profile, rhs_factory, y0, rtol, atol, label):
-    """Run solve_ivp piece by piece, restarting at breakpoints."""
-    max_step = profile.min_node_spacing or np.inf
-    y = y0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a, b, local in _pieces(profile):
-            rhs = rhs_factory(local)
-            sol = solve_ivp(
-                rhs, (a, b), y, method="DOP853", rtol=rtol, atol=atol, max_step=max_step
-            )
-            if not sol.success:
-                raise NumericalFailureError(
-                    f"shoot: integration failed on [{a}, {b}] at {label}: {sol.message}"
-                )
-            y = sol.y[:, -1]
-            if not np.all(np.isfinite(y)):
-                raise NumericalFailureError(f"shoot: non-finite state at {label}")
-    return y
+def _tree_product(m):
+    """Ordered product M[n-1] ... M[1] M[0] along the last axis, pairwise."""
+    while m.shape[-1] > 1:
+        even = m.shape[-1] & ~1
+        paired = _matmul(m[..., 1:even:2], m[..., 0:even:2])
+        if even < m.shape[-1]:  # an odd step out waits for the next level
+            paired = np.concatenate((paired, m[..., even:]), axis=-1)
+        m = paired
+    return m[..., 0]
+
+
+def _grid(pieces, n: int):
+    """Width and Gauss-node psi values (steps, 2) of every step across [-1, 1].
+
+    Each base cell of a smooth piece is cut into n equal steps; a constant
+    piece is one step.
+    """
+    unit = (np.arange(n)[:, None] + _GAUSS) / n  # Gauss nodes of a unit cell
+    hs, nodes = [], []
+    for piece in pieces:
+        edges = piece.edges
+        widths = np.diff(edges)
+        if piece.constant is not None:
+            hs.append(widths)
+            nodes.append(np.full((1, 2), piece.constant))
+            continue
+        hs.append(np.repeat(widths / n, n))
+        x = edges[:-1, None, None] + widths[:, None, None] * unit
+        nodes.append(piece.psi(x.reshape(-1, 2)))
+    return np.concatenate(hs), np.concatenate(nodes)
+
+
+def _transfer_at(pieces, alphas, kappa2, n: int):
+    """(2, 2, alpha) transfer matrices across [-1, 1] on the grid of ``_grid``."""
+    h, psi = _grid(pieces, n)
+    block = max(1, BLOCK_ELEMENTS // h.size)
+    parts = [
+        _tree_product(_step_matrices(alphas[i : i + block], kappa2, h, psi[:, 0], psi[:, 1]))
+        for i in range(0, alphas.size, block)
+    ]
+    return np.concatenate(parts, axis=-1)
+
+
+def _transfer(profile: PotentialProfile, alphas, kappa2, rtol, atol):
+    """(2, 2, alpha) transfer matrices across [-1, 1], refined by step doubling.
+
+    Alphas with the same starting n double together; each pass drops the
+    ones within tolerance.
+    """
+    if not (np.all(np.isfinite(alphas)) and np.isfinite(kappa2)):
+        raise NumericalFailureError("shoot: alpha and kappa2 must be finite")
+    pieces = _pieces(profile)
+    smooth = [pc for pc in pieces if pc.constant is None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if not smooth:
+            out = _transfer_at(pieces, alphas, kappa2, 1)
+            if not np.all(np.isfinite(out)):
+                raise NumericalFailureError(f"shoot: non-finite state at kappa2={kappa2}")
+            return out
+        resolution = START_RESOLUTION * np.max(
+            [np.max(np.diff(pc.edges)) * np.sqrt(np.abs(alphas) * pc.peak + abs(kappa2))
+             for pc in smooth],
+            axis=0,
+        )
+        ncells = sum(pc.edges.size - 1 for pc in smooth)
+        # capped exponent: anything past MAX_STEPS fails before it is built
+        exponent = np.ceil(np.log2(np.clip(resolution, 1.0, 2.0 * MAX_STEPS)))
+        start = 2 ** exponent.astype(np.int64)
+        out = np.empty((2, 2, alphas.size))
+        for n in np.unique(start):
+            idx = np.flatnonzero(start == n)
+            p_prev = r_prev = None
+            while idx.size:
+                if n * ncells > MAX_STEPS:
+                    raise NumericalFailureError(
+                        f"shoot: more than {MAX_STEPS} steps needed at alpha={alphas[idx[0]]}"
+                    )
+                p_n = _transfer_at(pieces, alphas[idx], kappa2, int(n))
+                r_n = None if p_prev is None else p_n + (p_n - p_prev) / 15.0
+                if r_prev is not None:
+                    scale = np.max(np.abs(r_n), axis=(0, 1))
+                    if not np.all(np.isfinite(scale)):
+                        raise NumericalFailureError(
+                            f"shoot: non-finite state at kappa2={kappa2}, "
+                            f"alpha in [{alphas[idx].min()}, {alphas[idx].max()}]"
+                        )
+                    done = np.max(np.abs(r_n - r_prev), axis=(0, 1)) / 63.0 <= rtol * scale + atol
+                    out[..., idx[done]] = r_n[..., done]
+                    idx, p_n, r_n = idx[~done], p_n[..., ~done], r_n[..., ~done]
+                p_prev, r_prev, n = p_n, r_n, 2 * n
+    return out
 
 
 def shoot(
@@ -117,32 +247,17 @@ def shoot(
     rtol: float = RTOL,
     atol: float = ATOL,
 ) -> FundamentalData:
-    """Integrate both fundamental solutions from xi=-1 to xi=1.
+    """Boundary data of both fundamental solutions at xi=1.
 
-    Uses an adaptive embedded Runge-Kutta integrator (DOP853).  For sampled
-    profiles the maximum step is bounded by the node spacing so interpolation
-    kinks stay resolved.
+    The one-alpha case of ``shoot_batch``, bit for bit.  rtol and atol bound
+    the step-doubling error estimate of the transfer matrix, so every entry
+    is accurate to about rtol times the largest one (module docstring).
 
-    Raises NumericalFailureError on step-size breakdown or a non-finite state
-    (e.g. alpha large enough that the solution overflows).
+    Raises NumericalFailureError on a non-finite alpha or state (e.g. alpha
+    large enough that the solution overflows) or past MAX_STEPS steps.
     """
-    alpha = float(alpha)
-    kappa2 = float(kappa2)
-    if not np.isfinite(alpha) or not np.isfinite(kappa2):
-        raise NumericalFailureError("shoot: alpha and kappa2 must be finite")
-
-    def rhs_factory(local):
-        psi = _psi_scalar_factory(profile, local)
-
-        def rhs(xi, y):
-            p = alpha * psi(xi) - kappa2
-            return (y[1], p * y[0], y[3], p * y[2])
-
-        return rhs
-
-    y0 = np.array([1.0, 0.0, 0.0, 1.0])
-    y = _integrate(profile, rhs_factory, y0, rtol, atol, f"alpha={alpha}, kappa2={kappa2}")
-    u1, du1, v1, dv1 = map(float, y)
+    m = _transfer(profile, np.array([float(alpha)]), float(kappa2), rtol, atol)[..., 0]
+    u1, du1, v1, dv1 = float(m[0, 0]), float(m[1, 0]), float(m[0, 1]), float(m[1, 1])
     defect = abs(u1 * dv1 - du1 * v1 - 1.0)
     return FundamentalData(u1, du1, v1, dv1, defect)
 
@@ -151,46 +266,22 @@ def shoot_batch(
     profile: PotentialProfile,
     alphas,
     kappa2: float = 0.0,
-    rtol: float = SCAN_RTOL,
-    atol: float = SCAN_ATOL,
+    rtol: float = RTOL,
+    atol: float = ATOL,
 ):
-    """Boundary data for many alpha at once, integrated as one stacked system.
+    """Boundary data for many alpha at once, each as accurate as ``shoot``.
 
-    All alpha share the adaptive step sequence (and a single profile
-    evaluation per stage), which makes coarse scans over hundreds of
-    couplings far cheaper than independent integrations.  The error control
-    averages over the stack, so per-alpha accuracy is looser than
-    ``shoot``; intended for bracket detection, not for reported values.
+    Step matrices are built over (alpha, step) arrays of at most
+    BLOCK_ELEMENTS entries, and the step count doubles per alpha, so every
+    entry equals ``shoot`` at that alpha bit for bit.
 
     Returns four arrays (u1, du1, v1, dv1) aligned with ``alphas``.
     """
     alphas = np.asarray(list(alphas), dtype=float)
     if alphas.size == 0:
-        empty = np.empty(0)
-        return empty, empty.copy(), empty.copy(), empty.copy()
-    if not np.all(np.isfinite(alphas)) or not np.isfinite(kappa2):
-        raise NumericalFailureError("shoot_batch: alphas and kappa2 must be finite")
-    m = alphas.size
-
-    def rhs_factory(local):
-        psi = _psi_scalar_factory(profile, local)
-
-        def rhs(xi, y):
-            p = alphas * psi(xi) - kappa2
-            state = y.reshape(m, 4)
-            out = np.empty_like(state)
-            out[:, 0] = state[:, 1]
-            out[:, 1] = p * state[:, 0]
-            out[:, 2] = state[:, 3]
-            out[:, 3] = p * state[:, 2]
-            return out.reshape(-1)
-
-        return rhs
-
-    y0 = np.tile([1.0, 0.0, 0.0, 1.0], m)
-    y = _integrate(profile, rhs_factory, y0, rtol, atol, f"batch of {m} alphas")
-    state = y.reshape(m, 4)
-    return state[:, 0].copy(), state[:, 1].copy(), state[:, 2].copy(), state[:, 3].copy()
+        return tuple(np.empty(0) for _ in range(4))
+    m = _transfer(profile, alphas, float(kappa2), rtol, atol)
+    return m[0, 0], m[1, 0], m[0, 1], m[1, 1]
 
 
 def neumann_mismatch(

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import airy
 
 
 def constant_piece_propagator(p: float, length: float) -> np.ndarray:
@@ -39,6 +40,26 @@ def step_boundary_data(alpha: float, kappa2: float = 0.0):
     u1, du1 = full @ np.array([1.0, 0.0])
     v1, dv1 = full @ np.array([0.0, 1.0])
     return float(u1), float(du1), float(v1), float(dv1)
+
+
+def linear_boundary_data(alpha: float, slope: float, kappa2: float = 0.0):
+    """Exact (u1, du1, v1, dv1) for the profile psi(xi) = slope*xi on [-1, 1].
+
+    w'' = (b*xi + a)*w with b = alpha*slope != 0, a = -kappa2 is Airy's
+    equation in z = b^(1/3) (xi + a/b), so the fundamental matrix is built
+    from Ai and Bi, whose Wronskian in z is 1/pi.
+    """
+    a, b = -kappa2, alpha * slope
+    c = math.copysign(abs(b) ** (1.0 / 3.0), b)
+
+    def phi(xi):
+        ai, aip, bi, bip = airy(c * (xi + a / b))
+        return np.array([[ai, bi], [c * aip, c * bip]])
+
+    left = phi(-1.0)
+    inverse = np.array([[left[1, 1], -left[0, 1]], [-left[1, 0], left[0, 0]]]) * math.pi / c
+    full = phi(1.0) @ inverse
+    return float(full[0, 0]), float(full[1, 0]), float(full[0, 1]), float(full[1, 1])
 
 
 def tan_tanh_root() -> float:

@@ -154,6 +154,13 @@ def test_numerical_failure_exit_code(capsys):
     assert "numerical failure" in err
 
 
+def test_step_cap_exit_code(capsys):
+    code, out, err = invoke(capsys, "shoot", "--builtin", "seba-quadratic", "--alpha", "1e12")
+    assert code == 3
+    assert out == ""
+    assert "steps" in err
+
+
 def test_invalid_input_exit_code(capsys):
     code, _, err = invoke(capsys, "moments", "--builtin", "gaussian")
     assert code == 2

@@ -12,6 +12,7 @@ from deltaprime import (
     shoot,
 )
 from deltaprime.resonance import _brackets_from_scan
+from deltaprime.shooting import shoot_batch
 
 from oracles import step_resonance_alpha, step_resonance_theta
 
@@ -185,16 +186,13 @@ def test_classify_preconditions(seba):
         classify(seba, float("inf"), 1e-8)
 
 
-def test_threads_env_deterministic(seba, monkeypatch):
-    monkeypatch.setenv("DELTAPRIME_THREADS", "1")
-    sequential = find_resonances(seba, -25.0, 25.0, 0.5)
-    monkeypatch.setenv("DELTAPRIME_THREADS", "4")
-    threaded = find_resonances(seba, -25.0, 25.0, 0.5)
-    assert [rv.alpha for rv in sequential] == [rv.alpha for rv in threaded]
-    assert [rv.theta for rv in sequential] == [rv.theta for rv in threaded]
-
-
-def test_threads_env_invalid(seba, monkeypatch):
-    monkeypatch.setenv("DELTAPRIME_THREADS", "many")
-    with pytest.raises(InvalidInputError, match="DELTAPRIME_THREADS"):
-        find_resonances(seba, -1.0, 1.0, 0.5)
+def test_find_resonances_deterministic(seba):
+    first = find_resonances(seba, -25.0, 25.0, 0.5)
+    second = find_resonances(seba, -25.0, 25.0, 0.5)
+    assert [rv.alpha for rv in first] == [rv.alpha for rv in second]
+    assert [rv.theta for rv in first] == [rv.theta for rv in second]
+    grid = np.linspace(-25.0, 25.0, 101)
+    u1, du1, v1, dv1 = shoot_batch(seba, grid)
+    for i, a in enumerate(grid):
+        fd = shoot(seba, a)
+        assert (u1[i], du1[i], v1[i], dv1[i]) == (fd.u1, fd.du1, fd.v1, fd.dv1)

@@ -11,8 +11,10 @@ from deltaprime import (
     finite_coeffs,
     limit_coeffs,
     q_factor,
+    shoot,
 )
-from deltaprime.scattering import _solve_small_complex
+from deltaprime import scattering
+from deltaprime.shooting import FundamentalData
 
 from oracles import step_resonance_alpha, step_resonance_theta
 
@@ -152,18 +154,43 @@ def test_asymptotic_rejects_nonfinite_kappa(seba):
         asymptotic_coeffs(seba, 1.0, float("inf"))
 
 
-def test_small_solver_matches_numpy():
-    rng = np.random.default_rng(42)
-    A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    b = rng.normal(size=4) + 1j * rng.normal(size=4)
-    x = _solve_small_complex(A, b)
-    np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-12, atol=1e-14)
+def _matching_system_solution(profile, alpha, k, eps):
+    """(R, T) from numpy's dense solve of the 4x4 matching system at x = +-eps.
 
-
-def test_small_solver_reports_singularity_with_determinant():
+    Unknowns (R, A, B, T): e^{i kappa xi} + R e^{-i kappa xi} left of the
+    well, A u + B v inside, T e^{i kappa xi} right of it, in xi = x/eps.
+    """
+    kappa = eps * k
+    fd = shoot(profile, alpha, kappa * kappa)
+    e = np.exp(1j * kappa)
+    ik = 1j * kappa
     A = np.array(
-        [[1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 6.0, 8.0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [
+            [-e, 1.0, 0.0, 0.0],
+            [ik * e, 0.0, 1.0, 0.0],
+            [0.0, fd.u1, fd.v1, -e],
+            [0.0, fd.du1, fd.dv1, -ik * e],
+        ],
         dtype=complex,
     )
-    with pytest.raises(NumericalFailureError, match="determinant estimate"):
-        _solve_small_complex(A, np.ones(4, dtype=complex))
+    rhs = np.array([1.0 / e, ik / e, 0.0, 0.0], dtype=complex)
+    x = np.linalg.solve(A, rhs)
+    return x[0], x[3]
+
+
+def test_finite_matches_dense_matching_solve(seba, step):
+    points = [(-30.0, 0.5, 0.1), (5.0, 1.0, 0.01), (18.1747, 1.0, 1e-3), (45.0, 2.0, 0.1)]
+    for profile in (seba, step):
+        for alpha, k, eps in points:
+            R, T = _matching_system_solution(profile, alpha, k, eps)
+            c = finite_coeffs(profile, alpha, k, eps)
+            assert abs(c.R - R) <= 1e-10 * max(1.0, abs(R))
+            assert abs(c.T - T) <= 1e-10 * abs(T)
+
+
+def test_finite_vanishing_determinant_raises(seba, monkeypatch):
+    # D = u1' - i*kappa*(u1 + v1') - kappa^2*v1 vanishes for all-zero boundary data
+    zero = FundamentalData(0.0, 0.0, 0.0, 0.0, 1.0)
+    monkeypatch.setattr(scattering, "shoot", lambda *args: zero)
+    with pytest.raises(NumericalFailureError, match="determinant"):
+        finite_coeffs(seba, 1.0, 1.0, 0.1)

@@ -5,12 +5,14 @@ from deltaprime import (
     NumericalFailureError,
     find_resonances,
     from_samples,
+    from_segments,
     neumann_mismatch,
     shoot,
 )
-from deltaprime.shooting import shoot_batch
+from deltaprime import shooting
+from deltaprime.shooting import FundamentalData, shoot_batch
 
-from oracles import step_boundary_data, step_resonance_alpha
+from oracles import linear_boundary_data, step_boundary_data, step_resonance_alpha
 
 
 def test_free_equation_exact(seba):
@@ -99,9 +101,68 @@ def test_nonfinite_alpha_raises(step):
 
 
 def test_sampled_profile_close_to_polynomial(seba):
-    xi = np.linspace(-1.0, 1.0, 2001)
-    sampled = from_samples(xi, seba.eval(xi))
     fd_poly = shoot(seba, 18.1747, 0.0)
-    fd_samp = shoot(sampled, 18.1747, 0.0)
-    assert fd_samp.u1 == pytest.approx(fd_poly.u1, rel=1e-4)
-    assert fd_samp.wronskian_defect <= 1e-9
+    for nodes in (2001, 601):
+        xi = np.linspace(-1.0, 1.0, nodes)
+        sampled = from_samples(xi, seba.eval(xi))
+        fd_samp = shoot(sampled, 18.1747, 0.0)
+        assert fd_samp.u1 == pytest.approx(fd_poly.u1, rel=1e-4)
+        assert fd_samp.wronskian_defect <= 1e-9
+
+
+@pytest.mark.parametrize("kappa2", [0.0, 0.5, 4.0])
+def test_step_profile_closed_form_up_to_200(step, kappa2):
+    alphas = np.linspace(-200.0, 200.0, 161)
+    got = shoot_batch(step, alphas, kappa2)
+    for i, alpha in enumerate(alphas):
+        for entry, want in zip(got, step_boundary_data(alpha, kappa2)):
+            assert abs(entry[i] - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("kappa2", [0.0, 1.0])
+def test_linear_profile_against_airy(kappa2):
+    # psi = -1.5*xi is delta-prime-like (m0 = 0, m1 = -1) and smooth on one piece
+    linear = from_segments([(-1.0, 1.0, (0.0, -1.5))])
+    for alpha in (-50.0, -7.3, 2.0, 18.0, 50.0):
+        want = linear_boundary_data(alpha, -1.5, kappa2)
+        fd = shoot(linear, alpha, kappa2)
+        scale = max(1.0, *map(abs, want))
+        for got, exact in zip((fd.u1, fd.du1, fd.v1, fd.dv1), want):
+            assert abs(got - exact) <= 1e-11 * scale
+
+
+def test_constant_piece_costs_one_step(step, monkeypatch):
+    steps = []
+    build = shooting._step_matrices
+
+    def counting(alphas, kappa2, h, psi1, psi2):
+        steps.append(h.size)
+        return build(alphas, kappa2, h, psi1, psi2)
+
+    monkeypatch.setattr(shooting, "_step_matrices", counting)
+    shoot(step, 37.0, 1.0)
+    assert steps == [2]  # one step on each of the two constant pieces
+
+
+def test_step_cap_raises_instead_of_degrading(seba, monkeypatch):
+    with pytest.raises(NumericalFailureError, match="steps"):
+        shoot(seba, 1e12, 0.0)
+    monkeypatch.setattr(shooting, "MAX_STEPS", 64)
+    with pytest.raises(NumericalFailureError, match="more than 64 steps"):
+        shoot(seba, 150.0, 0.0)
+    with pytest.raises(NumericalFailureError, match="more than 64 steps"):
+        shoot_batch(seba, [0.5, 150.0])
+
+
+def test_rel_wronskian_defect_formula():
+    fd = FundamentalData(4.0, 1.0, 2.0, 1.0, 1.0)  # u1*dv1 - du1*v1 = 2
+    assert fd.rel_wronskian_defect == pytest.approx(0.25)
+
+
+def test_rel_wronskian_defect_on_lattice(seba, step):
+    # degree 2, neither odd nor even, with m0 = 0 and m1 = -1
+    quadratic = from_segments([(-1.0, 1.0, (-1.0, -1.5, 3.0))])
+    alphas = np.linspace(-200.0, 200.0, 81)
+    for profile in (seba, step, quadratic):
+        for a in alphas:
+            assert shoot(profile, a, 0.0).rel_wronskian_defect <= 1e-12
