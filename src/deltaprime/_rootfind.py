@@ -1,9 +1,10 @@
-"""Safeguarded bracketing root refinement: bisection with secant acceleration.
+"""Bracketing root refinement by Brent's method.
 
-The iterate never leaves the current bracket.  A secant step through the
-bracket endpoints is used when it lands well inside; every third step is a
-plain bisection so the bracket width is guaranteed to shrink geometrically
-even when the secant stagnates near one endpoint.
+Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 4:
+inverse quadratic interpolation, or a secant step, where it lands well
+inside the bracket and shrinks faster than the step before last; bisection
+otherwise.  No step is shorter than xtol/2, so the bracket closes from both
+sides.  The iterate never leaves the bracket.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ import math
 def refine_bracket(f, a, b, fa=None, fb=None, xtol=1e-10, max_iter=200):
     """Refine a sign-change bracket [a, b] of f.
 
-    Returns (root, f(root), (a, b), n_evals) with the final bracket width
-    at most xtol (or max_iter exhausted, whichever comes first).
-    f(a) and f(b) must have opposite signs; exact zeros are returned
-    immediately with a collapsed bracket.
+    Returns (root, f(root), (a, b), n_evals): f changes sign across the final
+    bracket, of width at most xtol (or max_iter exhausted, whichever comes
+    first), and root is its end with the smaller |f|.  f(a) and f(b) must
+    have opposite signs; exact zeros are returned with a collapsed bracket.
     """
     if not a < b:
         raise ValueError(f"bracket requires a < b, got [{a}, {b}]")
@@ -28,31 +29,38 @@ def refine_bracket(f, a, b, fa=None, fb=None, xtol=1e-10, max_iter=200):
     if fb is None:
         fb = f(b)
         n_evals += 1
-    if fa == 0.0:
-        return a, fa, (a, a), n_evals
-    if fb == 0.0:
-        return b, fb, (b, b), n_evals
-    if math.copysign(1.0, fa) == math.copysign(1.0, fb):
+    if fa != 0.0 and fb != 0.0 and math.copysign(1.0, fa) == math.copysign(1.0, fb):
         raise ValueError(f"f({a})={fa} and f({b})={fb} do not bracket a root")
 
-    for it in range(max_iter):
-        width = b - a
-        if width <= xtol:
+    # b is the best iterate and c the other end of the bracket; a is the
+    # previous iterate, d the last step and e the one before it.
+    c, fc, d, e, tol = a, fa, b - a, b - a, 0.5 * xtol
+    for it in range(max_iter + 1):
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        if fb == 0.0:
+            return b, fb, (b, b), n_evals
+        m = 0.5 * (c - b)
+        if abs(c - b) <= xtol or it == max_iter:
             break
-        x = a + 0.5 * width
-        if it % 3 != 2:  # two secant attempts, then one forced bisection
-            s = a - fa * width / (fb - fa)
-            margin = 0.1 * width
-            if a + margin < s < b - margin:
-                x = s
-        fx = f(x)
-        n_evals += 1
-        if fx == 0.0:
-            return x, fx, (x, x), n_evals
-        if math.copysign(1.0, fx) == math.copysign(1.0, fa):
-            a, fa = x, fx
+        p = q = 0.0  # fails the acceptance test below, so a bisection
+        if abs(e) >= tol and abs(fb) < abs(fa):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = abs(p), -q if p > 0.0 else q  # accepted only with the sign of m
+        if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+            e, d = d, p / q
         else:
-            b, fb = x, fx
-
-    root, froot = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
-    return root, froot, (a, b), n_evals
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        n_evals += 1
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc, d, e = a, fa, b - a, b - a
+    return b, fb, (min(b, c), max(b, c)), n_evals

@@ -24,7 +24,7 @@ from .errors import (
     NumericalFailureError,
 )
 from .profiles import PotentialProfile
-from .shooting import neumann_mismatch, shoot, shoot_batch
+from .shooting import shoot, shoot_batch
 
 #: refined-root residual must satisfy |g(alpha)| <= RESIDUAL_SCALE * max(1, |u1|)
 RESIDUAL_SCALE = 1e-8
@@ -109,19 +109,20 @@ def _brackets_from_scan(alphas, gvals):
 def _refine_and_package(profile, a, b, fa, fb) -> ResonantValue:
     """Refine the scanned sign-change bracket [a, b] with g(a) = fa, g(b) = fb.
 
-    a == b is an exact grid zero.  Raises NumericalFailureError when the
-    refined root fails the residual check.
+    a == b is an exact grid zero.  theta and the residual are read from the
+    refinement's own shoot at the root.  Raises NumericalFailureError when
+    the refined root fails the residual check.
     """
+    shots = {}
+    g = lambda x: shots.setdefault(x, shoot(profile, x, 0.0)).du1
     if a == b:
         root, bracket = a, (a, a)
     else:
         mid = 0.5 * (a + b)
         xtol = max(1e-13, 8.0 * abs(mid) * np.finfo(float).eps)
-        g = lambda x: neumann_mismatch(profile, x)
         root, _, bracket, _ = refine_bracket(g, a, b, fa, fb, xtol=xtol, max_iter=200)
-    root = float(root)
-    bracket = (float(bracket[0]), float(bracket[1]))
-    fd = shoot(profile, root, 0.0)
+    root, bracket = float(root), (float(bracket[0]), float(bracket[1]))
+    fd = shots.get(root) or shoot(profile, root, 0.0)
     residual = abs(fd.du1)
     if not np.isfinite(fd.u1) or fd.u1 == 0.0:
         raise NumericalFailureError(
@@ -145,10 +146,10 @@ def find_resonances(
 
     g is scanned on a uniform grid by one ``shoot_batch`` call at the tight
     default tolerance, sign changes are bracketed, and each bracket is
-    refined by safeguarded bisection with secant acceleration, starting
-    from the scanned values at its ends.  alpha = 0 (resonant
-    for every profile, with a constant eigenfunction and theta = 1) is
-    inserted analytically and excluded from numeric scanning within
+    refined by Brent's method (inverse quadratic interpolation, secant or
+    bisection steps), starting from the scanned values at its ends.  alpha = 0
+    (resonant for every profile, with a constant eigenfunction and theta = 1)
+    is inserted analytically and excluded from numeric scanning within
     |alpha| < scan_step/2: g has a tangential zero there for delta-prime-like
     profiles, which defeats sign-change detection.
     """

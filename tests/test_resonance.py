@@ -11,6 +11,8 @@ from deltaprime import (
     find_resonances,
     shoot,
 )
+import deltaprime.resonance
+import deltaprime.shooting
 from deltaprime.resonance import _brackets_from_scan
 from deltaprime.shooting import shoot_batch
 
@@ -196,3 +198,19 @@ def test_find_resonances_deterministic(seba):
     for i, a in enumerate(grid):
         fd = shoot(seba, a)
         assert (u1[i], du1[i], v1[i], dv1[i]) == (fd.u1, fd.du1, fd.v1, fd.dv1)
+
+
+@pytest.mark.parametrize("name", ["seba", "step"])
+def test_find_resonances_shoot_budget(name, request, monkeypatch):
+    profile = request.getfixturevalue(name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return shoot(*args, **kwargs)
+
+    monkeypatch.setattr(deltaprime.shooting, "shoot", counting)
+    monkeypatch.setattr(deltaprime.resonance, "shoot", counting)
+    roots = [rv for rv in find_resonances(profile, 0.0, 200.0) if rv.alpha != 0.0]
+    assert len(roots) >= 4
+    assert len(calls) <= 6 * len(roots)

@@ -50,3 +50,44 @@ def test_never_leaves_bracket():
 
     refine_bracket(f, 0.0, 1.0, xtol=1e-12)
     assert all(0.0 <= x <= 1.0 for x in seen)
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi, xtol, budget",
+    [
+        (lambda x: x * x - 2.0, 1.0, 2.0, 1e-13, 10),
+        (lambda x: math.tanh(5 * (x - 0.7)), 0.0, 1.0, 1e-12, 12),
+    ],
+    ids=["sqrt2", "tanh"],
+)
+def test_eval_count(f, lo, hi, xtol, budget):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    _, _, (a, b), n = refine_bracket(g, lo, hi, xtol=xtol)
+    assert b - a <= xtol
+    assert n == len(calls) <= budget
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi, xtol",
+    [
+        (lambda x: x * x - 2.0, 1.0, 2.0, 1e-13),
+        (lambda x: math.tanh(5 * (x - 0.7)), 0.0, 1.0, 1e-12),
+        (lambda x: 3.0 * (x - 0.25), 0.0, 1.0, 1e-13),
+        (lambda x: math.cos(x) - x, 0.0, 1.0, 1e-14),
+        (lambda x: (x - 1.0) ** 9 if x >= 1.0 else -((1.0 - x) ** 0.25), 0.0, 3.0, 1e-10),
+        (lambda x: math.exp(x) - 1e3, -5.0, 20.0, 1e-12),
+    ],
+)
+def test_returned_bracket_straddles_root(f, lo, hi, xtol):
+    root, froot, (a, b), _ = refine_bracket(f, lo, hi, xtol=xtol)
+    assert lo <= a <= b <= hi and b - a <= xtol
+    assert root in (a, b) and froot == f(root)
+    if a == b:
+        assert froot == 0.0
+    else:
+        assert math.copysign(1.0, f(a)) != math.copysign(1.0, f(b))
