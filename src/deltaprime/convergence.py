@@ -106,12 +106,14 @@ class DiscreteOperator:
         return len(self.diag)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = self.diag * x
-        y[1:] += self.sub1 * x[:-1]
-        y[:-1] += self.sup1 * x[1:]
-        y[2:] += self.sub2 * x[:-2]
-        y[:-2] += self.sup2 * x[2:]
-        return y
+        """A @ x for one vector (n,) or a block of columns (n, m)."""
+        xt = x.T
+        y = self.diag * xt
+        y[..., 1:] += self.sub1 * xt[..., :-1]
+        y[..., :-1] += self.sup1 * xt[..., 1:]
+        y[..., 2:] += self.sub2 * xt[..., :-2]
+        y[..., :-2] += self.sup2 * xt[..., 2:]
+        return y.T
 
     def to_dense(self) -> np.ndarray:
         A = np.diag(self.diag)
@@ -132,15 +134,9 @@ class DiscreteOperator:
 
     @property
     def inf_norm(self) -> float:
-        return float(
-            np.max(
-                np.abs(self.diag)
-                + np.abs(np.concatenate(([0.0], self.sub1)))
-                + np.abs(np.concatenate((self.sup1, [0.0])))
-                + np.abs(np.concatenate(([0.0, 0.0], self.sub2)))
-                + np.abs(np.concatenate((self.sup2, [0.0, 0.0])))
-            )
-        )
+        bands = (self.diag, self.sub1, self.sup1, self.sub2, self.sup2)
+        absolute = DiscreteOperator(*map(np.abs, bands), self.kind)
+        return float(np.max(absolute.matvec(np.ones(self.n))))
 
 
 def _free_rows(n: int, h: float):
@@ -233,9 +229,12 @@ def discretize_limit(c: Classification, grid: Grid) -> DiscreteOperator:
 def resolvent_apply(op: DiscreteOperator, k2: complex, f: np.ndarray) -> np.ndarray:
     """Solve (A - k2*I) x = f by banded direct elimination with pivoting.
 
+    f is one right-hand side (n,) or a block (n, m) sharing one factorization,
+    which is (1, 1)-banded when sub2 and sup2 vanish and (2, 2)-banded otherwise.
     k2 must have a nonzero imaginary part (the real axis meets the spectrum).
-    The residual is checked against max(1e-12*||f||, the double-precision
-    floor eps_machine*||A||*||x|| that any backward-stable solver carries).
+    Each column's residual is checked against max(1e-12*||f||, the
+    double-precision floor eps_machine*||A||*||x|| that any backward-stable
+    solver carries), with that column's norms.
     """
     k2 = complex(k2)
     if k2.imag == 0.0:
@@ -243,35 +242,32 @@ def resolvent_apply(op: DiscreteOperator, k2: complex, f: np.ndarray) -> np.ndar
             f"resolvent_apply: k2 must have nonzero imaginary part, got {k2}"
         )
     f = np.asarray(f)
-    if f.shape != (op.n,):
+    if f.ndim not in (1, 2) or f.shape[0] != op.n:
         raise InvalidInputError(
-            f"resolvent_apply: f has shape {f.shape}, expected ({op.n},)"
+            f"resolvent_apply: f has shape {f.shape}, expected ({op.n},) or ({op.n}, m)"
         )
     if not np.all(np.isfinite(f)):
         raise InvalidInputError("resolvent_apply: f must be finite")
+    cols = f if f.ndim == 2 else f[:, None]
+    w = 2 if op.sub2.any() or op.sup2.any() else 1
     try:
-        x = solve_banded((2, 2), op.shifted_banded(k2), f.astype(complex))
+        x = solve_banded((w, w), op.shifted_banded(k2)[2 - w : 3 + w], cols.astype(complex))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"resolvent_apply: elimination breakdown: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise NumericalFailureError("resolvent_apply: non-finite solution")
-    residual = op.matvec(x) - k2 * x - f
-    rnorm = float(np.linalg.norm(residual))
-    fnorm = float(np.linalg.norm(f))
-    eps_mach = float(np.finfo(float).eps)
-    floor = (
-        64.0
-        * math.sqrt(op.n)
-        * eps_mach
-        * (op.inf_norm + abs(k2))
-        * float(np.linalg.norm(x))
-    )
-    if rnorm > max(1e-12 * fnorm, floor):
+    residual = op.matvec(x) - k2 * x - cols
+    rnorm = np.linalg.norm(residual, axis=0)
+    fnorm = np.linalg.norm(cols, axis=0)
+    floor = 64.0 * math.sqrt(op.n) * np.finfo(float).eps * (op.inf_norm + abs(k2))
+    bad = np.flatnonzero(rnorm > np.maximum(1e-12 * fnorm, floor * np.linalg.norm(x, axis=0)))
+    if bad.size:
+        j = bad[0]
         raise NumericalFailureError(
-            f"resolvent_apply: residual {rnorm:.3e} exceeds tolerance "
-            f"(||f|| = {fnorm:.3e})"
+            f"resolvent_apply: residual {rnorm[j]:.3e} in column {j} exceeds "
+            f"tolerance (||f|| = {fnorm[j]:.3e})"
         )
-    return x
+    return x.reshape(f.shape)
 
 
 @dataclass(frozen=True)
@@ -317,9 +313,10 @@ def study(
 
     error(eps) = max over the test battery of
     ||(S_eps - k2)^-1 f - (S_0 - k2)^-1 f||_2 / ||f||_2 in the mesh-weighted
-    discrete L2 norm.  alpha is classified with tolerance resonance_tol
-    (couplings published to a few decimals snap to the refined root; the
-    limit operator uses the root's theta).
+    discrete L2 norm, with the battery solved as one block: one banded solve
+    for the limit and one per eps.  alpha is classified with tolerance
+    resonance_tol (couplings published to a few decimals snap to the refined
+    root; the limit operator uses the root's theta).
 
     The identically-zero profile is rejected: its scaled family is free and
     eps-independent, so the dichotomy does not apply.
@@ -348,6 +345,8 @@ def study(
     if test_functions is None:
         test_functions = default_test_functions(grid)
     fs = [np.asarray(f, dtype=float) for f in test_functions]
+    if not fs:
+        raise InvalidInputError("study: test_functions must not be empty")
     for i, f in enumerate(fs):
         if f.shape != (grid.N,):
             raise InvalidInputError(
@@ -356,15 +355,13 @@ def study(
         if not np.any(f):
             raise InvalidInputError(f"study: test_functions[{i}] is identically zero")
 
-    limit_sol = [resolvent_apply(limit_op, k2, f) for f in fs]
+    F = np.column_stack(fs)
+    fnorm = np.linalg.norm(F, axis=0)
+    X0 = resolvent_apply(limit_op, k2, F)
     entries = []
     for eps in eps_arr:
-        op = discretize_seps(profile, alpha, eps, grid)
-        err = 0.0
-        for f, x0 in zip(fs, limit_sol):
-            x = resolvent_apply(op, k2, f)
-            err = max(err, float(np.linalg.norm(x - x0) / np.linalg.norm(f)))
-        entries.append((eps, err))
+        X = resolvent_apply(discretize_seps(profile, alpha, eps, grid), k2, F)
+        entries.append((eps, float(np.max(np.linalg.norm(X - X0, axis=0) / fnorm))))
 
     if all(e > 1e-15 for _, e in entries):
         slope = np.polyfit(np.log([e for e, _ in entries]), np.log([r for _, r in entries]), 1)

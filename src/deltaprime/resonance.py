@@ -110,8 +110,10 @@ def _refine_and_package(profile, a, b, fa, fb) -> ResonantValue:
     """Refine the scanned sign-change bracket [a, b] with g(a) = fa, g(b) = fb.
 
     a == b is an exact grid zero.  theta and the residual are read from the
-    refinement's own shoot at the root.  Raises NumericalFailureError when
-    the refined root fails the residual check.
+    refinement's own shoot at the root.  At a root u1*dv1 = 1, and the
+    transfer matrix is accurate relative to its largest entry, so theta is
+    u1 when |u1| >= 1 and 1/dv1 otherwise.  Raises NumericalFailureError
+    when the refined root fails the residual check.
     """
     shots = {}
     g = lambda x: shots.setdefault(x, shoot(profile, x, 0.0)).du1
@@ -133,7 +135,8 @@ def _refine_and_package(profile, a, b, fa, fb) -> ResonantValue:
             f"resonance refinement at alpha={root} stalled: residual {residual:.3e} "
             f"exceeds {RESIDUAL_SCALE:.0e}*max(1, |u1|)"
         )
-    return ResonantValue(root, fd.u1, residual, bracket)
+    theta = fd.u1 if abs(fd.u1) >= 1.0 else 1.0 / fd.dv1
+    return ResonantValue(root, theta, residual, bracket)
 
 
 def find_resonances(

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
+import deltaprime.convergence
 from deltaprime import (
     Grid,
     InvalidInputError,
     NonResonant,
+    NumericalFailureError,
     Resonant,
     discretize_limit,
     discretize_seps,
@@ -183,6 +185,77 @@ def test_resolvent_small_n_dense_oracle():
     assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(f)
 
 
+def test_resolvent_pentadiagonal_dense_oracle():
+    n = 8
+    rng = np.random.default_rng(11)
+    op = DiscreteOperator(
+        4.0 + rng.normal(size=n),
+        rng.normal(size=n - 1),
+        rng.normal(size=n - 1),
+        rng.normal(size=n - 2),
+        rng.normal(size=n - 2),
+        "pentadiagonal",
+    )
+    k2 = 1.5j + 0.25
+    F = rng.normal(size=(n, 3))
+    X = resolvent_apply(op, k2, F)
+    dense = op.to_dense().astype(complex) - k2 * np.eye(n)
+    np.testing.assert_allclose(X, np.linalg.solve(dense, F), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(op.matvec(F), op.to_dense() @ F, rtol=1e-14)
+
+
+@pytest.mark.parametrize("which", ["seps", "nonresonant", "resonant"])
+def test_resolvent_block_matches_columns(seba, which):
+    g = small_grid()
+    op = {
+        "seps": lambda: discretize_seps(seba, 18.1746, 0.5, g),
+        "nonresonant": lambda: discretize_limit(NonResonant(), g),
+        "resonant": lambda: discretize_limit(Resonant(2.0), g),
+    }[which]()
+    assert op.sub2.any() == (which == "resonant")  # only Resonant(2.0) is pentadiagonal
+    F = np.column_stack(default_test_functions(g))
+    X = resolvent_apply(op, 1j, F)
+    assert X.shape == F.shape
+    for j in range(F.shape[1]):
+        x = resolvent_apply(op, 1j, F[:, j])
+        assert x.shape == (g.N,)
+        np.testing.assert_allclose(X[:, j], x, rtol=1e-12, atol=1e-12 * np.abs(x).max())
+
+
+def test_resolvent_rejects_bad_blocks():
+    g = small_grid()
+    op = discretize_limit(Resonant(2.0), g)
+    for shape in [(g.N + 1,), (g.N, 2, 2), (g.N + 1, 3)]:
+        with pytest.raises(InvalidInputError, match="shape"):
+            resolvent_apply(op, 1j, np.ones(shape))
+    F = np.ones((g.N, 3))
+    F[5, 1] = np.nan
+    with pytest.raises(InvalidInputError, match="finite"):
+        resolvent_apply(op, 1j, F)
+    F[5, 1] = np.inf
+    with pytest.raises(InvalidInputError, match="finite"):
+        resolvent_apply(op, 1j, F)
+
+
+def test_resolvent_gate_is_per_column(seba, monkeypatch):
+    g = small_grid()
+    op = discretize_seps(seba, 18.1746, 0.5, g)
+    fs = default_test_functions(g)
+    # a tiny middle column: its corruption is far below 1e-12 of the block norm
+    F = np.column_stack([fs[0], 1e-8 * fs[1], fs[2]])
+    resolvent_apply(op, 1j, F)
+    real = deltaprime.convergence.solve_banded
+
+    def corrupting(lu, ab, b):
+        x = real(lu, ab, b)
+        x[:, 1] *= 1.0 + 1e-6
+        return x
+
+    monkeypatch.setattr(deltaprime.convergence, "solve_banded", corrupting)
+    with pytest.raises(NumericalFailureError, match="column 1"):
+        resolvent_apply(op, 1j, F)
+
+
 def test_resolvent_real_spectral_parameter_rejected():
     g = small_grid()
     op = discretize_limit(NonResonant(), g)
@@ -241,3 +314,32 @@ def test_study_alpha_zero_reproduces_free_line(seba):
     for _, err in rep.entries:
         assert err <= 1e-8  # S_eps at alpha=0 IS the free operator
     assert math.isnan(rep.fitted_rate)
+
+
+@pytest.mark.parametrize(
+    "alpha,limit_band", [(18.1747, 2), (10.0, 1), (0.0, 1)], ids=["connected", "dirichlet", "free"]
+)
+def test_study_one_banded_solve_per_operator(seba, monkeypatch, alpha, limit_band):
+    eps_list = (0.4, 0.2, 0.1, 0.05)
+    g = make_grid(min(eps_list), L=4.0, resolution=16)
+    calls = []
+    real = deltaprime.convergence.solve_banded
+
+    def spy(lu, ab, b):
+        calls.append((lu, ab.shape, b.shape))
+        return real(lu, ab, b)
+
+    monkeypatch.setattr(deltaprime.convergence, "solve_banded", spy)
+    rep = study(seba, alpha, eps_list=eps_list, grid=g)
+    assert len(calls) == len(eps_list) + 1
+    assert calls[0][0] == (limit_band, limit_band)
+    assert calls[0][1] == (2 * limit_band + 1, g.N)
+    assert [lu for lu, _, _ in calls[1:]] == [(1, 1)] * len(eps_list)
+    assert all(b == (g.N, 3) for _, _, b in calls)
+    assert isinstance(rep.limit_kind, Resonant if alpha != 10.0 else NonResonant)
+
+
+def test_study_rejects_empty_battery(seba):
+    g = make_grid(0.1, L=20.0, resolution=16)
+    with pytest.raises(InvalidInputError, match="empty"):
+        study(seba, 10.0, eps_list=(0.2, 0.1), grid=g, test_functions=[])

@@ -214,3 +214,25 @@ def test_find_resonances_shoot_budget(name, request, monkeypatch):
     roots = [rv for rv in find_resonances(profile, 0.0, 200.0) if rv.alpha != 0.0]
     assert len(roots) >= 4
     assert len(calls) <= 6 * len(roots)
+
+
+#: the step root with tan m = tanh m, m ~ 13.352, alpha = -m^2, and its
+#: coupling value theta = cos(m)cosh(m) - sin(m)sinh(m), both from the closed
+#: form evaluated offline with mpmath at 60 digits
+STEP_TINY_ALPHA = -178.2697294946090297911157
+STEP_TINY_THETA = 2.248617022318632212395641e-06
+
+
+def test_tiny_theta_step_root_matches_closed_form(step):
+    roots = find_resonances(step, -180.0, -176.0)
+    assert len(roots) == 1
+    rv = roots[0]
+    assert rv.alpha == pytest.approx(STEP_TINY_ALPHA, rel=1e-14)
+    # u1 itself is off by ~1e-4 relative here; 1/dv1 is well conditioned
+    assert rv.theta == pytest.approx(STEP_TINY_THETA, rel=1e-10)
+
+
+def test_tiny_theta_seba_mirror_classify_matches_golden(seba):
+    c = classify(seba.reflected(), 199.176, 1e-3)
+    assert isinstance(c, Resonant)
+    assert c.theta == pytest.approx(1.0 / 755823.0, rel=1e-6)
