@@ -336,10 +336,7 @@ def study(
     if grid is None:
         grid = make_grid(min(eps_arr), resolution=STUDY_RESOLUTION)
 
-    if abs(alpha) <= resonance_tol:
-        c: Classification = Resonant(1.0)
-    else:
-        c = classify(profile, alpha, tol=resonance_tol)
+    c = classify(profile, alpha, tol=resonance_tol)
     limit_op = discretize_limit(c, grid)
 
     if test_functions is None:

@@ -26,7 +26,7 @@ from .errors import (
 from .profiles import PotentialProfile
 from .shooting import shoot, shoot_batch
 
-#: refined-root residual must satisfy |g(alpha)| <= RESIDUAL_SCALE * max(1, |u1|)
+#: refined-root residual must satisfy |g(alpha)| <= RESIDUAL_SCALE * max(1, |u1|, |dv1|)
 RESIDUAL_SCALE = 1e-8
 
 #: |g| dips below this fraction of the neighbouring scan values without a sign
@@ -71,7 +71,7 @@ def _scan_values(profile, alphas):
 
 
 def _brackets_from_scan(alphas, gvals):
-    """Sign-change cells plus near-tangency indices from scanned g values.
+    """Sign-change cells and near-tangency indices, in grid order, from scanned g.
 
     A root needs a genuine crossing: either opposite nonzero signs across a
     cell, or an exact grid zero whose neighbours have opposite signs (then a
@@ -79,31 +79,28 @@ def _brackets_from_scan(alphas, gvals):
     stretches (the zero profile makes g vanish everywhere) yield nothing.
     Pure function of the scan data, independent of how g was produced.
     """
-    brackets = []
-    tangencies = []
-    n = len(alphas)
-    for i in range(n - 1):
-        ga, gb = gvals[i], gvals[i + 1]
-        if ga == 0.0 or gb == 0.0:
-            continue
-        if math.copysign(1.0, ga) != math.copysign(1.0, gb):
+    brackets, tangencies = [], []
+    sign = [math.copysign(1.0, g) for g in gvals]
+    for i in range(len(alphas) - 1):
+        if gvals[i] != 0.0 and gvals[i + 1] != 0.0 and sign[i] != sign[i + 1]:
             brackets.append((i, i + 1))
-    for i in range(1, n - 1):
-        ga, gi, gb = gvals[i - 1], gvals[i], gvals[i + 1]
-        if ga == 0.0 or gb == 0.0:
-            continue
-        if gi == 0.0:
-            if math.copysign(1.0, ga) != math.copysign(1.0, gb):
-                brackets.append((i, i))
-            continue
-        same = (
-            math.copysign(1.0, ga) == math.copysign(1.0, gi) == math.copysign(1.0, gb)
-        )
-        if same and abs(gi) < abs(ga) and abs(gi) < abs(gb):
-            if abs(gi) < TANGENCY_FRACTION * max(1.0, abs(ga), abs(gb)):
-                tangencies.append(i)
-    brackets.sort(key=lambda ij: ij[0])
+        elif i > 0 and gvals[i - 1] != 0.0 and gvals[i + 1] != 0.0:
+            ga, gi, gb = abs(gvals[i - 1]), abs(gvals[i]), abs(gvals[i + 1])
+            if gi == 0.0:
+                if sign[i - 1] != sign[i + 1]:
+                    brackets.append((i, i))
+            elif sign[i - 1] == sign[i] == sign[i + 1] and gi < ga and gi < gb:
+                if gi < TANGENCY_FRACTION * max(1.0, ga, gb):
+                    tangencies.append(i)
     return brackets, tangencies
+
+
+def _passes_root_gate(fd) -> bool:
+    """|g| is small against the transfer matrix's scale, |u1| or |dv1| at a root.
+
+    Gating on both treats a profile and its mirror (theta -> 1/theta) alike.
+    """
+    return abs(fd.du1) <= RESIDUAL_SCALE * max(1.0, abs(fd.u1), abs(fd.dv1))
 
 
 def _refine_and_package(profile, a, b, fa, fb) -> ResonantValue:
@@ -113,15 +110,14 @@ def _refine_and_package(profile, a, b, fa, fb) -> ResonantValue:
     refinement's own shoot at the root.  At a root u1*dv1 = 1, and the
     transfer matrix is accurate relative to its largest entry, so theta is
     u1 when |u1| >= 1 and 1/dv1 otherwise.  Raises NumericalFailureError
-    when the refined root fails the residual check.
+    when the refined root fails the root gate.
     """
     shots = {}
     g = lambda x: shots.setdefault(x, shoot(profile, x, 0.0)).du1
     if a == b:
         root, bracket = a, (a, a)
     else:
-        mid = 0.5 * (a + b)
-        xtol = max(1e-13, 8.0 * abs(mid) * np.finfo(float).eps)
+        xtol = max(1e-13, 8.0 * abs(0.5 * (a + b)) * np.finfo(float).eps)
         root, _, bracket, _ = refine_bracket(g, a, b, fa, fb, xtol=xtol, max_iter=200)
     root, bracket = float(root), (float(bracket[0]), float(bracket[1]))
     fd = shots.get(root) or shoot(profile, root, 0.0)
@@ -130,13 +126,27 @@ def _refine_and_package(profile, a, b, fa, fb) -> ResonantValue:
         raise NumericalFailureError(
             f"resonance refinement at alpha={root}: degenerate endpoint value u1={fd.u1}"
         )
-    if residual > RESIDUAL_SCALE * max(1.0, abs(fd.u1)):
+    if not _passes_root_gate(fd):
         raise NumericalFailureError(
             f"resonance refinement at alpha={root} stalled: residual {residual:.3e} "
-            f"exceeds {RESIDUAL_SCALE:.0e}*max(1, |u1|)"
+            f"exceeds {RESIDUAL_SCALE:.0e}*max(1, |u1|, |dv1|)"
         )
     theta = fd.u1 if abs(fd.u1) >= 1.0 else 1.0 / fd.dv1
     return ResonantValue(root, theta, residual, bracket)
+
+
+def _roots(profile, grid):
+    """Scan g on grid, bracket its sign changes and refine each bracket.
+
+    Returns (roots, tangencies): a lazy iterator of the refined roots in grid
+    order, so near-tangency (alpha, g) points can be reported before any
+    refinement runs or raises.  Brackets are disjoint and their ends are not
+    zeros, so the roots are distinct zeros of g.
+    """
+    gvals = _scan_values(profile, grid)
+    brackets, tangencies = _brackets_from_scan(grid, gvals)
+    refine = lambda i, j: _refine_and_package(profile, grid[i], grid[j], gvals[i], gvals[j])
+    return (refine(i, j) for i, j in brackets), [(grid[i], gvals[i]) for i in tangencies]
 
 
 def find_resonances(
@@ -147,14 +157,15 @@ def find_resonances(
 ) -> list[ResonantValue]:
     """All resonant couplings in [alpha_min, alpha_max], sorted ascending.
 
-    g is scanned on a uniform grid by one ``shoot_batch`` call at the tight
-    default tolerance, sign changes are bracketed, and each bracket is
-    refined by Brent's method (inverse quadratic interpolation, secant or
-    bisection steps), starting from the scanned values at its ends.  alpha = 0
-    (resonant for every profile, with a constant eigenfunction and theta = 1)
-    is inserted analytically and excluded from numeric scanning within
-    |alpha| < scan_step/2: g has a tangential zero there for delta-prime-like
-    profiles, which defeats sign-change detection.
+    g is scanned by one ``shoot_batch`` call on a uniform grid of cells about
+    scan_step wide; each cell where g changes sign is refined by Brent's
+    method.  Roots in different cells are all returned, however close.  A
+    cell holding an even number of roots shows no sign change and is missed;
+    a NearTangencyWarning (|g| at a grid point far below its neighbours) is
+    the only hint.  alpha = 0 (resonant for every profile, theta = 1) is
+    inserted analytically and not scanned within |alpha| < scan_step/2, where
+    g has a tangential zero for delta-prime-like profiles; a refined bracket
+    that closes on alpha = 0 is that root, not another.
     """
     if not (np.isfinite(alpha_min) and np.isfinite(alpha_max)):
         raise InvalidInputError("find_resonances: alpha_min and alpha_max must be finite")
@@ -167,49 +178,27 @@ def find_resonances(
 
     n_cells = max(1, int(round((alpha_max - alpha_min) / scan_step)))
     grid = list(np.linspace(alpha_min, alpha_max, n_cells + 1))
-    kept = [a for a in grid if abs(a) >= scan_step / 2.0]
-    gvals = _scan_values(profile, kept)
-
-    brackets, tangencies = _brackets_from_scan(kept, gvals)
-    for i in tangencies:
+    roots, tangencies = _roots(profile, [a for a in grid if abs(a) >= scan_step / 2.0])
+    for a, g in tangencies:
         warnings.warn(
-            f"|g| dips to {gvals[i]:.3e} near alpha={kept[i]} without a sign change; "
+            f"|g| dips to {g:.3e} near alpha={a} without a sign change; "
             "possible close root pair, decrease scan_step",
             NearTangencyWarning,
             stacklevel=2,
         )
 
-    found: list[ResonantValue] = []
+    found = [rv for rv in roots if not rv.bracket[0] <= 0.0 <= rv.bracket[1]]
     if alpha_min <= 0.0 <= alpha_max:
-        half = scan_step / 2.0
-        found.append(ResonantValue(0.0, 1.0, 0.0, (-half, half)))
-    for i, j in brackets:
-        found.append(_refine_and_package(profile, kept[i], kept[j], gvals[i], gvals[j]))
-
-    found.sort(key=lambda rv: rv.alpha)
-    deduped: list[ResonantValue] = []
-    for rv in found:
-        if deduped and abs(rv.alpha - deduped[-1].alpha) < scan_step / 10.0:
-            if rv.residual < deduped[-1].residual:
-                deduped[-1] = rv
-            continue
-        deduped.append(rv)
-    return deduped
+        found.append(ResonantValue(0.0, 1.0, 0.0, (-scan_step / 2.0, scan_step / 2.0)))
+    return sorted(found, key=lambda rv: rv.alpha)
 
 
 def _nearest_local_root(profile, alpha, window, scan_step):
     """Refined root of g nearest to alpha within [alpha-window, alpha+window]."""
     lo, hi = alpha - window, alpha + window
     n_cells = max(2, int(math.ceil((hi - lo) / scan_step)))
-    grid = list(np.linspace(lo, hi, n_cells + 1))
-    gvals = _scan_values(profile, grid)
-    brackets, _ = _brackets_from_scan(grid, gvals)
-    best = None
-    for i, j in brackets:
-        rv = _refine_and_package(profile, grid[i], grid[j], gvals[i], gvals[j])
-        if best is None or abs(rv.alpha - alpha) < abs(best.alpha - alpha):
-            best = rv
-    return best
+    roots, _ = _roots(profile, list(np.linspace(lo, hi, n_cells + 1)))
+    return min(roots, key=lambda rv: abs(rv.alpha - alpha), default=None)
 
 
 def coupling(profile: PotentialProfile, alpha: float, alpha_tol: float = 1e-3) -> float:
@@ -231,7 +220,7 @@ def coupling(profile: PotentialProfile, alpha: float, alpha_tol: float = 1e-3) -
     if alpha == 0.0:
         return 1.0
     fd = shoot(profile, alpha, 0.0)
-    if abs(fd.du1) <= RESIDUAL_SCALE * max(1.0, abs(fd.u1)):
+    if _passes_root_gate(fd):
         return fd.u1
     nearest = _nearest_local_root(profile, alpha, window=alpha_tol, scan_step=alpha_tol / 4.0)
     if nearest is None or abs(nearest.alpha - alpha) > alpha_tol:

@@ -92,14 +92,18 @@ def finite_coeffs(
     return ScatteringCoefficients(R, T, FINITE)
 
 
+def _q(fd) -> float:
+    """q = 2 u'(1) - u(1) - v'(1) from boundary data at kappa = 0."""
+    return 2.0 * fd.du1 - fd.u1 - fd.dv1
+
+
 def q_factor(profile: PotentialProfile, alpha: float) -> float:
     """Slope of the matching-system determinant in i*kappa at kappa = 0:
 
     q(alpha) = 2 u'(1;0,alpha) - u(1;0,alpha) - v'(1;0,alpha).
     At a resonance this equals -(theta + 1/theta).
     """
-    fd = shoot(profile, alpha, 0.0)
-    return 2.0 * fd.du1 - fd.u1 - fd.dv1
+    return _q(shoot(profile, alpha, 0.0))
 
 
 def asymptotic_coeffs(
@@ -123,8 +127,7 @@ def asymptotic_coeffs(
         inner = limit_coeffs(c)
         return ScatteringCoefficients(inner.R, inner.T, ASYMPTOTIC)
     fd = shoot(profile, alpha, 0.0)
-    q = 2.0 * fd.du1 - fd.u1 - fd.dv1
-    den = fd.du1 + 1j * kappa * q
+    den = fd.du1 + 1j * kappa * _q(fd)
     if den == 0:
         raise NumericalFailureError(
             f"asymptotic_coeffs: vanishing denominator u'(1) + i*kappa*q at "

@@ -1,14 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from deltaprime import (
+    FundamentalData,
     InvalidInputError,
+    NearTangencyWarning,
     NonResonant,
     NotResonantError,
     Resonant,
     classify,
     coupling,
     find_resonances,
+    from_segments,
     shoot,
 )
 import deltaprime.resonance
@@ -236,3 +241,73 @@ def test_tiny_theta_seba_mirror_classify_matches_golden(seba):
     c = classify(seba.reflected(), 199.176, 1e-3)
     assert isinstance(c, Resonant)
     assert c.theta == pytest.approx(1.0 / 755823.0, rel=1e-6)
+
+
+#: a generated piecewise-constant profile (m0 = 0, m1 = -1) with a tiny-theta
+#: root; the root and its coupling value theta = 1/v'(1) come from the closed
+#: form evaluated offline with mpmath at 50 digits
+PC0_SEGMENTS = (
+    (-1.0, -0.4676200826944217, (1.8783578559106588,)),
+    (-0.4676200826944217, 1.0, (-0.6813752494883338,)),
+)
+PC0_TINY_ALPHA = -186.5935435744515608274319
+PC0_TINY_THETA = -1.114185728078103264031722e-07
+
+
+def test_tiny_theta_root_passes_mirror_symmetric_gate():
+    profile = from_segments(PC0_SEGMENTS)
+    roots = find_resonances(profile, -190.0, -183.0)
+    assert len(roots) == 1
+    # |u1| ~ 1e-7 and |dv1| ~ 9e6 here: the residual 3e-8 is small only
+    # against the scale of the transfer matrix, which is |dv1|
+    assert roots[0].alpha == pytest.approx(PC0_TINY_ALPHA, rel=1e-14)
+    assert roots[0].theta == pytest.approx(PC0_TINY_THETA, rel=1e-10)
+
+    direct = find_resonances(profile)
+    mirrored = find_resonances(profile.reflected())
+    assert len(direct) == len(mirrored) >= 2
+    for rv, rm in zip(direct, mirrored):
+        assert rv.alpha == pytest.approx(rm.alpha, rel=1e-14, abs=0.0)
+        assert rv.theta * rm.theta == pytest.approx(1.0, rel=1e-12)
+
+
+def _fake_g(monkeypatch, g):
+    """Make g(alpha) the Neumann mismatch, with u1 = v'(1) = 1 and v1 = 0."""
+
+    def fake_shoot(profile, alpha, kappa2=0.0, **kwargs):
+        return FundamentalData(1.0, float(g(alpha)), 0.0, 1.0, 0.0)
+
+    def fake_batch(profile, alphas, **kwargs):
+        a = np.asarray(alphas, dtype=float)
+        one = np.ones_like(a)
+        return one, g(a), np.zeros_like(a), one
+
+    monkeypatch.setattr(deltaprime.resonance, "shoot", fake_shoot)
+    monkeypatch.setattr(deltaprime.resonance, "shoot_batch", fake_batch)
+
+
+def test_close_roots_in_adjacent_cells_are_both_returned(seba, monkeypatch):
+    _fake_g(monkeypatch, lambda a: (a - 0.99) * (a - 1.01))
+    roots = find_resonances(seba, 0.5, 1.5, 0.5)
+    assert [rv.alpha for rv in roots] == pytest.approx([0.99, 1.01], abs=1e-12)
+
+
+def test_near_tangency_warns_only_from_find_resonances(seba, monkeypatch):
+    _fake_g(monkeypatch, lambda a: (a - 1.0) ** 2 + 1e-9)
+    with pytest.warns(NearTangencyWarning) as record:
+        assert find_resonances(seba, 0.5, 1.5, 0.5) == []
+    assert len(record) == 1
+    assert record[0].filename == __file__
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NearTangencyWarning)
+        assert classify(seba, 1.0, 1e-3) == NonResonant()
+        coupling(seba, 1.0)
+
+
+def test_alpha_zero_reported_once_when_g_crosses_there():
+    # m0 != 0 makes alpha = 0 a simple zero of g, so the cell around it
+    # brackets a sign change whose refined root is alpha = 0 itself
+    profile = from_segments([(-1.0, 0.0, (2.0,)), (0.0, 1.0, (-1.0,))])
+    roots = find_resonances(profile, -5.0, 5.0, 0.5)
+    assert [(rv.alpha, rv.theta) for rv in roots if abs(rv.alpha) < 0.5] == [(0.0, 1.0)]
+    assert any(rv.alpha > 0.5 for rv in roots)
