@@ -16,7 +16,7 @@ START_RESOLUTION * width * sqrt(max|alpha*psi - kappa2|).
 With P_n the transfer matrix at n steps per cell, R_n = P_n + (P_n - P_{n/2})/15
 is its Richardson extrapolation and |R_2n - R_n|/63 the error estimate of
 R_2n.  n doubles, per alpha, until that estimate is at most
-rtol*max|R_2n| + atol; R_2n is returned.  More than MAX_STEPS steps, or a
+RTOL*max|R_2n| + ATOL; R_2n is returned.  More than MAX_STEPS steps, or a
 non-finite state, raises NumericalFailureError instead.
 
 Everything downstream (resonance detection, the coupling ratio, scattering
@@ -33,11 +33,11 @@ from functools import partial
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .errors import NumericalFailureError
+from .errors import InvalidInputError, NumericalFailureError
 from .profiles import PIECEWISE, PotentialProfile
 
-# Defaults chosen so the boundary data supports root refinement in alpha
-# down to ~1e-12 of bracket width.
+# Step-doubling tolerances, chosen so the boundary data supports root
+# refinement in alpha down to ~1e-12 of bracket width.
 RTOL = 1e-12
 ATOL = 1e-14
 
@@ -190,7 +190,7 @@ def _transfer_at(pieces, alphas, kappa2, n: int):
     return np.concatenate(parts, axis=-1)
 
 
-def _transfer(profile: PotentialProfile, alphas, kappa2, rtol, atol):
+def _transfer(profile: PotentialProfile, alphas, kappa2):
     """(2, 2, alpha) transfer matrices across [-1, 1], refined by step doubling.
 
     Alphas with the same starting n double together; each pass drops the
@@ -233,66 +233,55 @@ def _transfer(profile: PotentialProfile, alphas, kappa2, rtol, atol):
                             f"shoot: non-finite state at kappa2={kappa2}, "
                             f"alpha in [{alphas[idx].min()}, {alphas[idx].max()}]"
                         )
-                    done = np.max(np.abs(r_n - r_prev), axis=(0, 1)) / 63.0 <= rtol * scale + atol
+                    done = np.max(np.abs(r_n - r_prev), axis=(0, 1)) / 63.0 <= RTOL * scale + ATOL
                     out[..., idx[done]] = r_n[..., done]
                     idx, p_n, r_n = idx[~done], p_n[..., ~done], r_n[..., ~done]
                 p_prev, r_prev, n = p_n, r_n, 2 * n
     return out
 
 
-def shoot(
-    profile: PotentialProfile,
-    alpha: float,
-    kappa2: float = 0.0,
-    rtol: float = RTOL,
-    atol: float = ATOL,
-) -> FundamentalData:
+def shoot(profile: PotentialProfile, alpha: float, kappa2: float = 0.0) -> FundamentalData:
     """Boundary data of both fundamental solutions at xi=1.
 
-    The one-alpha case of ``shoot_batch``, bit for bit.  rtol and atol bound
+    The one-alpha case of ``shoot_batch``, bit for bit.  RTOL and ATOL bound
     the step-doubling error estimate of the transfer matrix, so every entry
-    is accurate to about rtol times the largest one (module docstring).
+    is accurate to about RTOL times the largest one (module docstring).
 
     Raises NumericalFailureError on a non-finite alpha or state (e.g. alpha
     large enough that the solution overflows) or past MAX_STEPS steps.
     """
-    m = _transfer(profile, np.array([float(alpha)]), float(kappa2), rtol, atol)[..., 0]
+    m = _transfer(profile, np.array([float(alpha)]), float(kappa2))[..., 0]
     u1, du1, v1, dv1 = float(m[0, 0]), float(m[1, 0]), float(m[0, 1]), float(m[1, 1])
     defect = abs(u1 * dv1 - du1 * v1 - 1.0)
     return FundamentalData(u1, du1, v1, dv1, defect)
 
 
-def shoot_batch(
-    profile: PotentialProfile,
-    alphas,
-    kappa2: float = 0.0,
-    rtol: float = RTOL,
-    atol: float = ATOL,
-):
+def shoot_batch(profile: PotentialProfile, alphas, kappa2: float = 0.0):
     """Boundary data for many alpha at once, each as accurate as ``shoot``.
 
     Step matrices are built over (alpha, step) arrays of at most
     BLOCK_ELEMENTS entries, and the step count doubles per alpha, so every
     entry equals ``shoot`` at that alpha bit for bit.
 
-    Returns four arrays (u1, du1, v1, dv1) aligned with ``alphas``.
+    Returns four arrays (u1, du1, v1, dv1) aligned with ``alphas``.  Raises
+    InvalidInputError unless ``alphas`` is a 1-D sequence of numbers.
     """
-    alphas = np.asarray(list(alphas), dtype=float)
+    try:
+        alphas = np.asarray(list(alphas), dtype=float)
+    except (TypeError, ValueError):
+        alphas = None
+    if alphas is None or alphas.ndim != 1:
+        raise InvalidInputError("shoot_batch: alphas must be a 1-D sequence of numbers")
     if alphas.size == 0:
         return tuple(np.empty(0) for _ in range(4))
-    m = _transfer(profile, alphas, float(kappa2), rtol, atol)
+    m = _transfer(profile, alphas, float(kappa2))
     return m[0, 0], m[1, 0], m[0, 1], m[1, 1]
 
 
-def neumann_mismatch(
-    profile: PotentialProfile,
-    alpha: float,
-    rtol: float = RTOL,
-    atol: float = ATOL,
-) -> float:
+def neumann_mismatch(profile: PotentialProfile, alpha: float) -> float:
     """g(alpha) = u'(1; 0, alpha): zero exactly at the resonant couplings.
 
     Continuous in alpha; g(0) = 0 for every profile since alpha=0 makes the
     equation free and u identically 1.
     """
-    return shoot(profile, alpha, 0.0, rtol=rtol, atol=atol).du1
+    return shoot(profile, alpha, 0.0).du1

@@ -76,6 +76,18 @@ def test_theta_subcommand(capsys):
     assert out.startswith("alpha=18.1747 theta=-54.937")
 
 
+def test_theta_and_scatter_limit_agree_within_tol_of_zero(capsys):
+    code, out, _ = invoke(capsys, "theta", "--builtin", "seba-quadratic", "--alpha", "0.0005")
+    assert code == 0
+    assert out.startswith("alpha=0.0005 theta=1.0005")
+    code, out, _ = invoke(
+        capsys, "scatter-limit", "--builtin", "seba-quadratic",
+        "--alpha", "0.0005", "--tol", "1e-3", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["T2"] == 1.0
+
+
 def test_scatter_limit_tight_tol_is_opaque(capsys):
     code, out, _ = invoke(
         capsys, "scatter-limit", "--builtin", "seba-quadratic",

@@ -14,6 +14,8 @@ from deltaprime import (
     coupling,
     find_resonances,
     from_segments,
+    moments,
+    q_factor,
     shoot,
 )
 import deltaprime.resonance
@@ -148,8 +150,10 @@ def test_brackets_from_scan_near_tangency_warning_indices():
     assert tang == [1]
 
 
-def test_coupling_at_zero(seba):
-    assert coupling(seba, 0.0) == 1.0
+def test_coupling_at_zero(seba, step, zero):
+    # a shoot at alpha = 0 is exactly u1 = 1, du1 = 0, so the root gate accepts it
+    for profile in (seba, step, zero):
+        assert coupling(profile, 0.0) == 1.0
 
 
 def test_coupling_accepts_tabulated_value(seba):
@@ -164,6 +168,76 @@ def test_coupling_at_step_resonance(step):
 def test_coupling_rejects_nonresonant(seba):
     with pytest.raises(NotResonantError):
         coupling(seba, 10.0)
+
+
+@pytest.mark.parametrize("alpha", [5e-4, -3e-4])
+def test_coupling_accepts_alpha_within_tol_of_zero(seba, step, alpha):
+    # |alpha| <= tol: classify's root alpha = 0, which coupling now shares
+    for profile in (seba, step):
+        assert classify(profile, alpha, 1e-3) == Resonant(1.0)
+        assert coupling(profile, alpha, 1e-3) == shoot(profile, alpha).u1
+
+
+def _generated_pc(seed):
+    """A seeded piecewise-constant delta-prime-like profile, m0 = 0 and m1 = -1.
+
+    2-5 pieces at least 0.1 wide with normal values, shifted to m0 = 0 (which
+    keeps m1) and scaled to m1 = -1; draws with |m1| < 0.2 are redrawn.
+    """
+    rng = np.random.default_rng(seed)
+    while True:
+        pieces = int(rng.integers(2, 6))
+        edges = np.concatenate(([-1.0], np.sort(rng.uniform(-1.0, 1.0, pieces - 1)), [1.0]))
+        values = rng.normal(size=pieces)
+        m0 = np.sum(values * np.diff(edges))
+        m1 = np.sum(values * np.diff(edges**2)) / 2.0
+        if np.min(np.diff(edges)) >= 0.1 and abs(m1) >= 0.2:
+            break
+    values = (values - m0 / 2.0) / -m1
+    return from_segments([(a, b, (float(v),)) for a, b, v in zip(edges[:-1], edges[1:], values)])
+
+
+@pytest.fixture(scope="module", params=range(4))
+def generated(request):
+    profile = _generated_pc(request.param)
+    return profile, find_resonances(profile, -60.0, 60.0)
+
+
+def test_generated_profiles_are_delta_prime_like(generated):
+    m = moments(generated[0])
+    assert m.m0 == pytest.approx(0.0, abs=1e-12)
+    assert m.m1 == pytest.approx(-1.0, rel=1e-12)
+    assert len(generated[1]) >= 3
+
+
+def test_generated_mirror_and_q_invariants(generated):
+    profile, roots = generated
+    mirrored = find_resonances(profile.reflected(), -60.0, 60.0)
+    assert len(mirrored) == len(roots)
+    for rv, rm in zip(roots, mirrored):
+        assert rm.alpha == pytest.approx(rv.alpha, rel=1e-12, abs=0.0)
+        assert rv.theta * rm.theta == pytest.approx(1.0, rel=0.0, abs=1e-10)
+        q = -(rv.theta + 1.0 / rv.theta)
+        assert q_factor(profile, rv.alpha) == pytest.approx(q, rel=1e-9)
+
+
+def test_generated_rounded_roots_accepted_by_classify_and_coupling(generated):
+    profile, roots = generated
+    for rv in roots:
+        alpha = float(f"{rv.alpha:.6g}")
+        assert isinstance(classify(profile, alpha, 1e-3), Resonant)
+        assert coupling(profile, alpha, 1e-3) == shoot(profile, alpha).u1
+
+
+def test_generated_far_from_roots_both_reject(generated):
+    profile, roots = generated
+    alphas = [rv.alpha for rv in roots]
+    far = [a for a in np.arange(-59.5, 60.0, 1.5) if min(abs(a - r) for r in alphas) >= 1.0]
+    assert len(far) >= 10
+    for alpha in far:
+        assert classify(profile, alpha, 1e-3) == NonResonant()
+        with pytest.raises(NotResonantError):
+            coupling(profile, alpha, 1e-3)
 
 
 def test_classify_zero_resonant(seba, step, zero):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from deltaprime import (
+    InvalidInputError,
     NumericalFailureError,
     find_resonances,
     from_samples,
@@ -55,9 +56,10 @@ def test_wronskian_on_lattice(seba, step):
                 assert fd.wronskian_defect <= 1e-9
 
 
-def test_tolerance_halving_self_consistency(seba):
-    fd = shoot(seba, 18.1747, 0.0, rtol=1e-12, atol=1e-14)
-    fd2 = shoot(seba, 18.1747, 0.0, rtol=5e-13, atol=1e-14)
+def test_tolerance_halving_self_consistency(seba, monkeypatch):
+    fd = shoot(seba, 18.1747, 0.0)
+    monkeypatch.setattr(shooting, "RTOL", 5e-13)
+    fd2 = shoot(seba, 18.1747, 0.0)
     assert abs(fd2.u1 - fd.u1) <= 10 * 1e-12 * abs(fd.u1)
 
 
@@ -88,6 +90,20 @@ def test_batch_agrees_with_scalar(seba):
         fd = shoot(seba, a)
         assert u1[i] == pytest.approx(fd.u1, rel=1e-6, abs=1e-8)
         assert du1[i] == pytest.approx(fd.du1, rel=1e-4, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "alphas", [5.0, np.zeros((2, 2)), [[1.0], [2.0]], [[1.0], [2.0, 3.0]], ["x"], [1j]]
+)
+def test_batch_rejects_non_sequence_alphas(step, alphas):
+    with pytest.raises(InvalidInputError):
+        shoot_batch(step, alphas)
+
+
+def test_batch_accepts_sequences(step):
+    for alphas in ((1.0, 2.0), np.array([1.0, 2.0]), (a for a in (1.0, 2.0))):
+        assert shoot_batch(step, alphas)[0].shape == (2,)
+    assert shoot_batch(step, [])[0].shape == (0,)
 
 
 def test_overflow_raises_numerical_failure(step):
