@@ -11,12 +11,24 @@ The study applies both resolvents to a fixed battery of test functions and
 reports the relative discrete-L2 errors per eps together with a fitted
 log-log rate.  This is a practical surrogate for the operator-norm resolvent
 difference, and is reported as such.
+
+Every operator of a study differs from the free second difference only on a
+window W around the origin: the nodes where some scaled potential can be
+nonzero and the limit's interface rows, padded by two nodes.  The two free
+exterior blocks outside W are solved once per study, for the battery and for
+the unit vector at their inner end, which gives the boundary Green's column
+g.  Each operator then solves only its W system, whose end rows take the
+exterior as a Schur complement: -h^-4*g_end on the diagonal and
+h^-2*Y_end on the right-hand side (Y the exterior battery solution).  Outside
+W two solutions differ by a multiple of g, so the error norm is the W
+difference plus a rank-one tail per side, h^-2*|dX_end|*||g||, and no
+full-length solution is formed per operator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -87,8 +99,10 @@ def make_grid(eps_min: float, L: float = DEFAULT_L, resolution: float = MIN_RESO
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Real banded matrix with at most two off-diagonals on each side.
+    """Banded matrix with at most two real off-diagonals on each side.
 
+    The diagonal is real for every discretization; only the window systems
+    of ``study`` carry a complex one, from the exterior's Schur corrections.
     Entries follow numpy indexing: sub1[i] = A[i+1, i], sup1[i] = A[i, i+1],
     sub2[i] = A[i+2, i], sup2[i] = A[i, i+2].
     """
@@ -105,15 +119,26 @@ class DiscreteOperator:
     def n(self) -> int:
         return len(self.diag)
 
+    @property
+    def bandwidth(self) -> int:
+        """1 when sub2 and sup2 vanish (tridiagonal), 2 otherwise."""
+        return 2 if self.sub2.any() or self.sup2.any() else 1
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x for one vector (n,) or a block of columns (n, m)."""
         xt = x.T
         y = self.diag * xt
+        self._add_off_diagonals(y, xt)
+        return y.T
+
+    def _add_off_diagonals(self, y: np.ndarray, xt: np.ndarray) -> None:
+        """y += (A - diag(A)) x, with x and y laid out as (..., n); the second
+        bands are skipped when they are zero."""
         y[..., 1:] += self.sub1 * xt[..., :-1]
         y[..., :-1] += self.sup1 * xt[..., 1:]
-        y[..., 2:] += self.sub2 * xt[..., :-2]
-        y[..., :-2] += self.sup2 * xt[..., 2:]
-        return y.T
+        if self.bandwidth == 2:
+            y[..., 2:] += self.sub2 * xt[..., :-2]
+            y[..., :-2] += self.sup2 * xt[..., 2:]
 
     def to_dense(self) -> np.ndarray:
         A = np.diag(self.diag)
@@ -122,14 +147,16 @@ class DiscreteOperator:
         return A
 
     def shifted_banded(self, shift: complex) -> np.ndarray:
-        """(A - shift*I) in scipy solve_banded layout with (l, u) = (2, 2)."""
-        n = self.n
-        ab = np.zeros((5, n), dtype=complex)
-        ab[2] = self.diag - shift
-        ab[1, 1:] = self.sup1
-        ab[0, 2:] = self.sup2
-        ab[3, :-1] = self.sub1
-        ab[4, :-2] = self.sub2
+        """(A - shift*I) in scipy solve_banded layout with (l, u) = (w, w),
+        w = ``bandwidth``: 2w + 1 rows."""
+        w = self.bandwidth
+        ab = np.zeros((2 * w + 1, self.n), dtype=complex)
+        ab[w] = self.diag - shift
+        ab[w - 1, 1:] = self.sup1
+        ab[w + 1, :-1] = self.sub1
+        if w == 2:
+            ab[0, 2:] = self.sup2
+            ab[4, :-2] = self.sub2
         return ab
 
     @property
@@ -137,6 +164,19 @@ class DiscreteOperator:
         bands = (self.diag, self.sub1, self.sup1, self.sub2, self.sup2)
         absolute = DiscreteOperator(*map(np.abs, bands), self.kind)
         return float(np.max(absolute.matvec(np.ones(self.n))))
+
+
+def _block(op: DiscreteOperator, lo: int, hi: int) -> DiscreteOperator:
+    """The principal submatrix of op on rows and columns lo..hi-1."""
+    return DiscreteOperator(
+        op.diag[lo:hi],
+        op.sub1[lo : max(lo, hi - 1)],
+        op.sup1[lo : max(lo, hi - 1)],
+        op.sub2[lo : max(lo, hi - 2)],
+        op.sup2[lo : max(lo, hi - 2)],
+        op.kind,
+        op.params,
+    )
 
 
 def _free_rows(n: int, h: float):
@@ -149,6 +189,22 @@ def _free_rows(n: int, h: float):
     return diag, sub1, sup1, sub2, sup2
 
 
+def _potential(
+    profile: PotentialProfile, alpha: float, eps: float, grid: Grid, x: np.ndarray
+) -> np.ndarray:
+    """alpha*eps^-2*psi(x/eps) at nodes x of grid, after discretize_seps' checks."""
+    if not (np.isfinite(eps) and eps > 0):
+        raise InvalidInputError(f"discretize_seps: eps must be positive, got {eps}")
+    if not np.isfinite(alpha):
+        raise InvalidInputError(f"discretize_seps: alpha must be finite, got {alpha}")
+    if eps / grid.h < MIN_RESOLUTION:
+        raise InvalidInputError(
+            f"discretize_seps: eps/h = {eps / grid.h:.2f} is below the resolution "
+            f"requirement {MIN_RESOLUTION}; refine the grid or increase eps"
+        )
+    return (alpha / (eps * eps)) * profile.eval(x / eps)
+
+
 def discretize_seps(
     profile: PotentialProfile, alpha: float, eps: float, grid: Grid
 ) -> DiscreteOperator:
@@ -156,18 +212,9 @@ def discretize_seps(
 
     Requires eps/h >= 16 so the scaled potential is resolved.
     """
-    if not (np.isfinite(eps) and eps > 0):
-        raise InvalidInputError(f"discretize_seps: eps must be positive, got {eps}")
-    if not np.isfinite(alpha):
-        raise InvalidInputError(f"discretize_seps: alpha must be finite, got {alpha}")
-    h = grid.h
-    if eps / h < MIN_RESOLUTION:
-        raise InvalidInputError(
-            f"discretize_seps: eps/h = {eps / h:.2f} is below the resolution "
-            f"requirement {MIN_RESOLUTION}; refine the grid or increase eps"
-        )
-    diag, sub1, sup1, sub2, sup2 = _free_rows(grid.N, h)
-    diag += (alpha / (eps * eps)) * profile.eval(grid.nodes() / eps)
+    potential = _potential(profile, alpha, eps, grid, grid.nodes())
+    diag, sub1, sup1, sub2, sup2 = _free_rows(grid.N, grid.h)
+    diag += potential
     return DiscreteOperator(
         diag, sub1, sup1, sub2, sup2, KIND_SEPS, {"alpha": alpha, "eps": eps}
     )
@@ -226,6 +273,46 @@ def discretize_limit(c: Classification, grid: Grid) -> DiscreteOperator:
     return DiscreteOperator(diag, sub1, sup1, sub2, sup2, KIND_CONNECTED, {"theta": th})
 
 
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    """Squared 2-norms of the columns of a real or complex (n, m) block."""
+    sq = np.einsum("ij,ij->j", a.real, a.real)
+    if np.iscomplexobj(a):
+        sq += np.einsum("ij,ij->j", a.imag, a.imag)
+    return sq
+
+
+def _residual_norms(
+    op: DiscreteOperator, k2: complex, x: np.ndarray, f: np.ndarray
+) -> np.ndarray:
+    """Column 2-norms of (A - k2*I) x - f for (n, m) blocks x and f.
+
+    The real off-diagonals act on the real and imaginary parts of x
+    separately, so no complex product of the block is formed.
+    """
+    xr, xi = x.real.T, x.imag.T
+    d = op.diag - k2
+    rr = d.real * xr - d.imag * xi - f.real.T
+    ri = d.real * xi + d.imag * xr
+    if np.iscomplexobj(f):
+        ri -= f.imag.T
+    op._add_off_diagonals(rr, xr)
+    op._add_off_diagonals(ri, xi)
+    return np.sqrt(np.einsum("ij,ij->i", rr, rr) + np.einsum("ij,ij->i", ri, ri))
+
+
+def _gate_residuals(what, rnorm, fnorm, xnorm, n, a_norm, k2) -> None:
+    """Raise unless every column's residual is at most max(1e-12*||f||, the
+    double-precision floor eps_machine*||A||*||x|| of a backward-stable solve)."""
+    floor = 64.0 * math.sqrt(n) * np.finfo(float).eps * (a_norm + abs(k2))
+    bad = np.flatnonzero(rnorm > np.maximum(1e-12 * fnorm, floor * xnorm))
+    if bad.size:
+        j = bad[0]
+        raise NumericalFailureError(
+            f"{what}: residual {rnorm[j]:.3e} in column {j} exceeds "
+            f"tolerance (||f|| = {fnorm[j]:.3e})"
+        )
+
+
 def resolvent_apply(op: DiscreteOperator, k2: complex, f: np.ndarray) -> np.ndarray:
     """Solve (A - k2*I) x = f by banded direct elimination with pivoting.
 
@@ -249,24 +336,22 @@ def resolvent_apply(op: DiscreteOperator, k2: complex, f: np.ndarray) -> np.ndar
     if not np.all(np.isfinite(f)):
         raise InvalidInputError("resolvent_apply: f must be finite")
     cols = f if f.ndim == 2 else f[:, None]
-    w = 2 if op.sub2.any() or op.sup2.any() else 1
+    w = op.bandwidth
     try:
-        x = solve_banded((w, w), op.shifted_banded(k2)[2 - w : 3 + w], cols.astype(complex))
+        x = solve_banded((w, w), op.shifted_banded(k2), cols.astype(complex))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"resolvent_apply: elimination breakdown: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise NumericalFailureError("resolvent_apply: non-finite solution")
-    residual = op.matvec(x) - k2 * x - cols
-    rnorm = np.linalg.norm(residual, axis=0)
-    fnorm = np.linalg.norm(cols, axis=0)
-    floor = 64.0 * math.sqrt(op.n) * np.finfo(float).eps * (op.inf_norm + abs(k2))
-    bad = np.flatnonzero(rnorm > np.maximum(1e-12 * fnorm, floor * np.linalg.norm(x, axis=0)))
-    if bad.size:
-        j = bad[0]
-        raise NumericalFailureError(
-            f"resolvent_apply: residual {rnorm[j]:.3e} in column {j} exceeds "
-            f"tolerance (||f|| = {fnorm[j]:.3e})"
-        )
+    _gate_residuals(
+        "resolvent_apply",
+        _residual_norms(op, k2, x, cols),
+        np.sqrt(_sq_norms(cols)),
+        np.sqrt(_sq_norms(x)),
+        op.n,
+        op.inf_norm,
+        k2,
+    )
     return x.reshape(f.shape)
 
 
@@ -299,6 +384,87 @@ def default_test_functions(grid: Grid) -> list[np.ndarray]:
     return [f / (math.sqrt(h) * np.linalg.norm(f)) for f in fs]
 
 
+@dataclass(frozen=True)
+class _Exterior:
+    """One free exterior block of a study, solved for the battery (columns Y)
+    and the unit vector at its inner end (the boundary Green's column g).
+
+    ``end`` is the window row the block couples to (0 or -1); the rest is read
+    at the block's inner end or summed over the block.
+    """
+
+    end: int
+    y_end: np.ndarray  # Y at the inner end, per column
+    g_end: complex
+    y_sq: np.ndarray  # ||Y_j||^2
+    gy: np.ndarray  # g^H Y_j
+    g_sq: float  # ||g||^2
+    y_res: np.ndarray  # residual norms of the Y_j
+    g_res: float  # residual norm of g
+
+
+def _solve_exterior(
+    op: DiscreteOperator, k2: complex, F: np.ndarray, inner: int, end: int
+) -> _Exterior:
+    """Solve the exterior block op for F and the unit vector at row inner, as one block."""
+    m = F.shape[1]
+    rhs = np.zeros((op.n, m + 1))
+    rhs[:, :m] = F
+    rhs[inner, m] = 1.0
+    Z = resolvent_apply(op, k2, rhs)
+    res = _residual_norms(op, k2, Z, rhs)
+    gz = np.einsum("i,ij->j", Z[:, m].conj(), Z)
+    return _Exterior(
+        end, Z[inner, :m], Z[inner, m], _sq_norms(Z[:, :m]), gz[:m], gz[m].real, res[:m], res[m]
+    )
+
+
+def _solve_window(
+    op: DiscreteOperator, k2: complex, F: np.ndarray, sides, inv_h2: float, n: int, fnorm
+) -> np.ndarray:
+    """Window solution of one operator, the exterior folded in as a Schur complement.
+
+    op holds the operator's rows on W; the exterior couples to each end of W
+    through the free entry -h^-2.  The full system's residual per column is
+    bounded by the W residual plus, per side, ||r(Y_j)|| + h^-2*|x_end|*||r(g)||,
+    and that bound is gated at resolvent_apply's threshold for the full
+    operator: n rows, ||A||_inf (equal to op's, since W's pad rows are free
+    rows) and the full-length ||x||, which needs only the exterior's norms.
+    """
+    diag = op.diag.astype(complex)
+    rhs = F.astype(complex)
+    for s in sides:
+        diag[s.end] -= inv_h2 * inv_h2 * s.g_end
+        rhs[s.end] += inv_h2 * s.y_end
+    system = replace(op, diag=diag)
+    X = resolvent_apply(system, k2, rhs)
+    bound = _residual_norms(system, k2, X, rhs)
+    x_sq = _sq_norms(X)
+    for s in sides:
+        c = -inv_h2 * X[s.end]  # exterior solution: Y - c*g
+        bound += s.y_res + inv_h2 * np.abs(X[s.end]) * s.g_res
+        x_sq += np.maximum(s.y_sq - 2.0 * np.real(np.conj(c) * s.gy) + np.abs(c) ** 2 * s.g_sq, 0.0)
+    _gate_residuals(
+        f"study ({op.kind}, {op.params})", bound, fnorm, np.sqrt(x_sq), n, op.inf_norm, k2
+    )
+    return X
+
+
+def _window(profile: PotentialProfile, eps_max: float, grid: Grid, x: np.ndarray):
+    """Index range [a, b) of the nodes where some operator of the study differs
+    from the free second difference, padded by two nodes on each side.
+
+    The range spans the nodes with x/eps_max in the profile's support and the
+    limit's interface rows around 0, so it holds the support of every
+    eps <= eps_max as well.
+    """
+    lo, hi = profile.support
+    t = x / eps_max
+    im, ip = grid.interface
+    rows = np.concatenate((np.flatnonzero((t >= lo) & (t <= hi)), [im - 1, ip + 1]))
+    return max(int(rows.min()) - 2, 0), min(int(rows.max()) + 3, grid.N)
+
+
 def study(
     profile: PotentialProfile,
     alpha: float,
@@ -313,10 +479,19 @@ def study(
 
     error(eps) = max over the test battery of
     ||(S_eps - k2)^-1 f - (S_0 - k2)^-1 f||_2 / ||f||_2 in the mesh-weighted
-    discrete L2 norm, with the battery solved as one block: one banded solve
-    for the limit and one per eps.  alpha is classified with tolerance
-    resonance_tol (couplings published to a few decimals snap to the refined
-    root; the limit operator uses the root's theta).
+    discrete L2 norm.  alpha is classified with tolerance resonance_tol
+    (couplings published to a few decimals snap to the refined root; the
+    limit operator uses the root's theta).
+
+    All operators share the free rows outside the window W (module
+    docstring): W spans the nodes with x/eps_max in the profile's support
+    and the limit's interface rows, with a pad of two.  The
+    two exterior blocks are solved once, as one block each for the battery
+    and the boundary Green's column g; each operator then solves only its W
+    system with the Schur-corrected end rows, and the error adds to the W
+    difference the rank-one exterior tails h^-2*|dX_end|*||g||.  Every
+    sub-solve runs through resolvent_apply with its gates, and the bound on
+    each operator's full-system residual is gated at the same threshold.
 
     The identically-zero profile is rejected: its scaled family is free and
     eps-independent, so the dichotomy does not apply.
@@ -353,12 +528,31 @@ def study(
             raise InvalidInputError(f"study: test_functions[{i}] is identically zero")
 
     F = np.column_stack(fs)
-    fnorm = np.linalg.norm(F, axis=0)
-    X0 = resolvent_apply(limit_op, k2, F)
-    entries = []
+    fnorm = np.sqrt(_sq_norms(F))
+    x = grid.nodes()
+    a, b = _window(profile, eps_arr[0], grid, x)
+    ops = [_block(limit_op, a, b)]
     for eps in eps_arr:
-        X = resolvent_apply(discretize_seps(profile, alpha, eps, grid), k2, F)
-        entries.append((eps, float(np.max(np.linalg.norm(X - X0, axis=0) / fnorm))))
+        diag, sub1, sup1, sub2, sup2 = _free_rows(b - a, grid.h)
+        diag += _potential(profile, alpha, eps, grid, x[a:b])
+        ops.append(
+            DiscreteOperator(diag, sub1, sup1, sub2, sup2, KIND_SEPS, {"alpha": alpha, "eps": eps})
+        )
+
+    inv_h2 = 1.0 / (grid.h * grid.h)
+    sides = []
+    if a > 0:
+        sides.append(_solve_exterior(_block(limit_op, 0, a), k2, F[:a], a - 1, 0))
+    if b < grid.N:
+        sides.append(_solve_exterior(_block(limit_op, b, grid.N), k2, F[b:], 0, -1))
+    X0, *Xs = (_solve_window(op, k2, F[a:b], sides, inv_h2, grid.N, fnorm) for op in ops)
+    entries = []
+    for eps, X in zip(eps_arr, Xs):
+        dX = X - X0
+        err_sq = _sq_norms(dX)
+        for s in sides:  # outside W the difference is -h^-2*dX_end*g
+            err_sq += (inv_h2 * np.abs(dX[s.end])) ** 2 * s.g_sq
+        entries.append((eps, float(np.max(np.sqrt(err_sq) / fnorm))))
 
     if all(e > 1e-15 for _, e in entries):
         slope = np.polyfit(np.log([e for e, _ in entries]), np.log([r for _, r in entries]), 1)

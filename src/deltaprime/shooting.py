@@ -17,7 +17,9 @@ With P_n the transfer matrix at n steps per cell, R_n = P_n + (P_n - P_{n/2})/15
 is its Richardson extrapolation and |R_2n - R_n|/63 the error estimate of
 R_2n.  n doubles, per alpha, until that estimate is at most
 RTOL*max|R_2n| + ATOL; R_2n is returned.  More than MAX_STEPS steps, or a
-non-finite state, raises NumericalFailureError instead.
+non-finite state, raises NumericalFailureError instead; past MAX_STEPS the
+message gives the last estimate and the bound it failed, since an estimate
+that stalls above the bound points at the rounding floor, not the step.
 
 Everything downstream (resonance detection, the coupling ratio, scattering
 coefficients) consumes only the boundary values returned here.
@@ -218,11 +220,17 @@ def _transfer(profile: PotentialProfile, alphas, kappa2):
         out = np.empty((2, 2, alphas.size))
         for n in np.unique(start):
             idx = np.flatnonzero(start == n)
-            p_prev = r_prev = None
+            p_prev = r_prev = estimate = bound = None
             while idx.size:
                 if n * ncells > MAX_STEPS:
+                    floor = "" if estimate is None else (
+                        f"; the last error estimate {estimate[0]:.3e} still exceeds "
+                        f"RTOL*scale + ATOL = {bound[0]:.3e}; it may have reached "
+                        "the rounding floor of the transfer matrix"
+                    )
                     raise NumericalFailureError(
                         f"shoot: more than {MAX_STEPS} steps needed at alpha={alphas[idx[0]]}"
+                        + floor
                     )
                 p_n = _transfer_at(pieces, alphas[idx], kappa2, int(n))
                 r_n = None if p_prev is None else p_n + (p_n - p_prev) / 15.0
@@ -233,9 +241,12 @@ def _transfer(profile: PotentialProfile, alphas, kappa2):
                             f"shoot: non-finite state at kappa2={kappa2}, "
                             f"alpha in [{alphas[idx].min()}, {alphas[idx].max()}]"
                         )
-                    done = np.max(np.abs(r_n - r_prev), axis=(0, 1)) / 63.0 <= RTOL * scale + ATOL
+                    estimate = np.max(np.abs(r_n - r_prev), axis=(0, 1)) / 63.0
+                    bound = RTOL * scale + ATOL
+                    done = estimate <= bound
                     out[..., idx[done]] = r_n[..., done]
                     idx, p_n, r_n = idx[~done], p_n[..., ~done], r_n[..., ~done]
+                    estimate, bound = estimate[~done], bound[~done]
                 p_prev, r_prev, n = p_n, r_n, 2 * n
     return out
 

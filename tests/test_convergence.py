@@ -3,10 +3,15 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import solve_banded as scipy_solve_banded
 
 import deltaprime.convergence
 from deltaprime import (
     Grid,
+    builtin_profile,
+    classify,
+    from_samples,
+    from_segments,
     InvalidInputError,
     NonResonant,
     NumericalFailureError,
@@ -222,6 +227,45 @@ def test_resolvent_block_matches_columns(seba, which):
         np.testing.assert_allclose(X[:, j], x, rtol=1e-12, atol=1e-12 * np.abs(x).max())
 
 
+@pytest.mark.parametrize("which", ["seps", "nonresonant", "resonant"])
+def test_resolvent_solution_bit_identical_to_five_row_layout(seba, which):
+    g = small_grid()
+    op = {
+        "seps": lambda: discretize_seps(seba, 18.1746, 0.5, g),
+        "nonresonant": lambda: discretize_limit(NonResonant(), g),
+        "resonant": lambda: discretize_limit(Resonant(2.0), g),
+    }[which]()
+    F = np.column_stack(default_test_functions(g))
+    # A - k2*I in the (2, 2) layout, sliced to the rows of the bandwidth used
+    ab = np.zeros((5, g.N), dtype=complex)
+    ab[2] = op.diag - 1j
+    ab[1, 1:], ab[0, 2:] = op.sup1, op.sup2
+    ab[3, :-1], ab[4, :-2] = op.sub1, op.sub2
+    w = 2 if which == "resonant" else 1
+    want = scipy_solve_banded((w, w), ab[2 - w : 3 + w], F.astype(complex))
+    assert np.array_equal(resolvent_apply(op, 1j, F), want)
+
+
+def test_residual_norms_match_dense_residual():
+    n = 12
+    rng = np.random.default_rng(5)
+    op = DiscreteOperator(
+        4.0 + rng.normal(size=n) + 1j * rng.normal(size=n),  # complex diagonal, as in a window
+        rng.normal(size=n - 1),
+        rng.normal(size=n - 1),
+        rng.normal(size=n - 2),
+        rng.normal(size=n - 2),
+        "pentadiagonal",
+    )
+    k2 = 0.5 + 1.5j
+    x = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    dense = op.to_dense() - k2 * np.eye(n)
+    for f in (rng.normal(size=(n, 3)), rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))):
+        want = np.linalg.norm(dense @ x - f, axis=0)
+        got = deltaprime.convergence._residual_norms(op, k2, x, f)
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
 def test_resolvent_rejects_bad_blocks():
     g = small_grid()
     op = discretize_limit(Resonant(2.0), g)
@@ -316,10 +360,21 @@ def test_study_alpha_zero_reproduces_free_line(seba):
     assert math.isnan(rep.fitted_rate)
 
 
+def _window_size(profile, eps_max, grid):
+    """Nodes from the first to the last with x/eps_max in the profile's support
+    or among the interface rows im-1..ip+1, and a pad of two on each side."""
+    lo, hi = profile.support
+    t = grid.nodes() / eps_max
+    im, ip = grid.interface
+    inside = np.flatnonzero((t >= lo) & (t <= hi))
+    first, last = min(inside[0], im - 1) - 2, max(inside[-1], ip + 1) + 2
+    return min(last, grid.N - 1) - max(first, 0) + 1
+
+
 @pytest.mark.parametrize(
     "alpha,limit_band", [(18.1747, 2), (10.0, 1), (0.0, 1)], ids=["connected", "dirichlet", "free"]
 )
-def test_study_one_banded_solve_per_operator(seba, monkeypatch, alpha, limit_band):
+def test_study_solves_exterior_once_and_window_per_operator(seba, monkeypatch, alpha, limit_band):
     eps_list = (0.4, 0.2, 0.1, 0.05)
     g = make_grid(min(eps_list), L=4.0, resolution=16)
     calls = []
@@ -331,12 +386,171 @@ def test_study_one_banded_solve_per_operator(seba, monkeypatch, alpha, limit_ban
 
     monkeypatch.setattr(deltaprime.convergence, "solve_banded", spy)
     rep = study(seba, alpha, eps_list=eps_list, grid=g)
-    assert len(calls) == len(eps_list) + 1
-    assert calls[0][0] == (limit_band, limit_band)
-    assert calls[0][1] == (2 * limit_band + 1, g.N)
-    assert [lu for lu, _, _ in calls[1:]] == [(1, 1)] * len(eps_list)
-    assert all(b == (g.N, 3) for _, _, b in calls)
+    w = _window_size(seba, max(eps_list), g)
+    assert 0 < w < g.N // 4
+    assert len(calls) == 2 + len(eps_list) + 1
+    # the two free exterior blocks: tridiagonal, battery plus the g column
+    exterior, window = calls[:2], calls[2:]
+    assert all(lu == (1, 1) for lu, _, _ in exterior)
+    assert sum(b[0] for _, _, b in exterior) == g.N - w
+    assert all(b[1] == 4 for _, _, b in exterior)
+    # then one W system per operator, the limit first
+    assert all(b == (w, 3) for _, _, b in window)
+    assert window[0][0] == (limit_band, limit_band)
+    assert window[0][1] == (2 * limit_band + 1, w)
+    assert [lu for lu, _, _ in window[1:]] == [(1, 1)] * len(eps_list)
     assert isinstance(rep.limit_kind, Resonant if alpha != 10.0 else NonResonant)
+
+
+@pytest.mark.parametrize("call", [0, 1, 2, 4], ids=["left", "right", "limit-window", "eps-window"])
+def test_study_gates_every_sub_solve(seba, monkeypatch, call):
+    g = make_grid(0.05, L=4.0, resolution=16)
+    real = deltaprime.convergence.solve_banded
+    seen = []
+
+    def corrupting(lu, ab, b):
+        x = real(lu, ab, b)
+        if len(seen) == call:
+            x[:, 1] *= 1.0 + 1e-6
+        seen.append(lu)
+        return x
+
+    monkeypatch.setattr(deltaprime.convergence, "solve_banded", corrupting)
+    with pytest.raises(NumericalFailureError, match="column 1"):
+        study(seba, 18.1747, eps_list=(0.2, 0.1, 0.05), grid=g)
+
+
+def test_study_gate_bounds_the_full_residual(seba, monkeypatch):
+    """The gated bound is never below the residual of the full-length solution
+    that the window and exterior pieces define, at the full operator's norms.
+
+    Each exterior's g column is scaled by 1 + 1e-11, which its own gate
+    passes, so the full residual sits well above rounding: (A - k2) g = e
+    becomes (1 + 1e-11) e, and h^-2*|x_end| weights that on every operator.
+    """
+    eps_list = (0.2, 0.1, 0.05)
+    g = make_grid(min(eps_list), L=4.0, resolution=16)
+    conv = deltaprime.convergence
+    solved, gated = [], []
+    real_solve, real_apply = conv.solve_banded, conv.resolvent_apply
+    real_gate = conv._gate_residuals
+
+    def perturbing(lu, ab, b):
+        x = real_solve(lu, ab, b)
+        if len(solved) < 2:
+            x[:, -1] *= 1.0 + 1e-11
+        return x
+
+    def apply_spy(op, k2, f):
+        x = real_apply(op, k2, f)
+        solved.append(x)
+        return x
+
+    def gate_spy(what, rnorm, fnorm, xnorm, n, a_norm, k2):
+        if what.startswith("study"):
+            gated.append((rnorm, xnorm, n, a_norm))
+        return real_gate(what, rnorm, fnorm, xnorm, n, a_norm, k2)
+
+    monkeypatch.setattr(conv, "solve_banded", perturbing)
+    monkeypatch.setattr(conv, "resolvent_apply", apply_spy)
+    monkeypatch.setattr(conv, "_gate_residuals", gate_spy)
+    rep = study(seba, 18.1747, eps_list=eps_list, grid=g)
+    left, right, *windows = solved
+    assert g.N - right.shape[0] - left.shape[0] == _window_size(seba, eps_list[0], g)
+    inv_h2 = 1.0 / g.h**2
+    F = np.column_stack(default_test_functions(g))
+    ops = [discretize_limit(rep.limit_kind, g)]
+    ops += [discretize_seps(seba, 18.1747, eps, g) for eps in eps_list]
+    assert len(windows) == len(gated) == len(ops)
+    for op, xw, (bound, xnorm, n, a_norm) in zip(ops, windows, gated):
+        x = np.concatenate(
+            (
+                left[:, :3] + inv_h2 * xw[0] * left[:, 3:],
+                xw,
+                right[:, :3] + inv_h2 * xw[-1] * right[:, 3:],
+            )
+        )
+        assert n == g.N and a_norm == op.inf_norm
+        np.testing.assert_allclose(xnorm, np.linalg.norm(x, axis=0), rtol=1e-10)
+        residual = np.linalg.norm(op.matvec(x) - 1j * x - F, axis=0)
+        # rounding in forming x and its residual here, far below the perturbation
+        slack = np.finfo(float).eps * a_norm * xnorm
+        assert np.all(residual >= 30.0 * slack)
+        assert np.all(bound >= residual - slack)
+
+
+def _full_grid_study(profile, alpha, eps_list, grid, test_functions=None):
+    """Every operator discretized on the whole grid and solved through
+    resolvent_apply, as one block per operator."""
+    c = classify(profile, alpha, tol=1e-3)
+    fs = default_test_functions(grid) if test_functions is None else test_functions
+    F = np.column_stack(fs)
+    fnorm = np.linalg.norm(F, axis=0)
+    X0 = resolvent_apply(discretize_limit(c, grid), 1j, F)
+    entries = []
+    for eps in eps_list:
+        X = resolvent_apply(discretize_seps(profile, alpha, eps, grid), 1j, F)
+        entries.append(float(np.max(np.linalg.norm(X - X0, axis=0) / fnorm)))
+    return entries, c
+
+
+def _custom_battery(grid):
+    x = grid.nodes()
+    inside = np.where(np.abs(x) < 0.02, np.cos(25.0 * np.pi * x) ** 2, 0.0)  # within W only
+    left = np.where(x < -1.0, np.exp(-((x + 2.0) ** 2)), 0.0)  # left exterior only
+    return [inside, left, np.sin(x) * np.exp(-(x**2) / 4.0)]
+
+
+def _equivalence_case(case):
+    """(profile, alpha, eps_list, grid or None, battery builder or None)."""
+    seba = builtin_profile("seba-quadratic")
+    xi = np.linspace(-1.0, 1.0, 601)
+    off_centre = from_segments([(0.3, 0.6, (3.0,)), (0.6, 0.9, (-3.0,))])
+    ladder = (0.2, 0.1, 0.05)
+    return {
+        "connected": (seba, 18.1747, ladder, None, None),
+        "dirichlet": (seba, 10.0, ladder, None, None),
+        "free": (seba, 0.0, ladder, None, None),
+        "sampled": (from_samples(xi, seba.eval(xi)), 12.0, ladder, None, None),
+        "battery": (seba, 18.1747, ladder, None, _custom_battery),
+        # a support away from 0: W must still hold it for every eps
+        "off-centre": (off_centre, 5.0, ladder, None, None),
+        # eps_max beyond L: the window is the whole grid and there is no exterior
+        "whole-grid": (seba, 7.0, (2.5, 1.25, 0.625), Grid(L=2.0, N=256), None),
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case", ["connected", "dirichlet", "free", "sampled", "battery", "off-centre", "whole-grid"]
+)
+def test_study_matches_full_grid_algorithm(monkeypatch, case):
+    profile, alpha, eps_list, grid, battery = _equivalence_case(case)
+    grid = grid or make_grid(min(eps_list), L=8.0, resolution=32)
+    fs = battery(grid) if battery else None
+    want, c = _full_grid_study(profile, alpha, eps_list, grid, fs)
+    calls = []
+    real = deltaprime.convergence.solve_banded
+
+    def spy(lu, ab, b):
+        calls.append(b.shape[0])
+        return real(lu, ab, b)
+
+    monkeypatch.setattr(deltaprime.convergence, "solve_banded", spy)
+    rep = study(profile, alpha, eps_list=eps_list, grid=grid, test_functions=fs)
+    assert rep.limit_kind == c
+    assert [e for e, _ in rep.entries] == list(eps_list)
+    got = [r for _, r in rep.entries]
+    if case == "free":  # S_eps at alpha = 0 is the free operator, on every row
+        assert got == want == [0.0] * len(eps_list)
+        assert math.isnan(rep.fitted_rate)
+        return
+    np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+    rate = np.polyfit(np.log(eps_list), np.log(want), 1)[0]
+    assert rep.fitted_rate == pytest.approx(rate, rel=1e-7)
+    if case == "whole-grid":
+        assert calls == [grid.N] * (len(eps_list) + 1)
+    else:
+        assert len(calls) == 2 + len(eps_list) + 1
 
 
 def test_study_rejects_empty_battery(seba):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,38 @@ def test_step_cap_raises_instead_of_degrading(seba, monkeypatch):
         shoot(seba, 150.0, 0.0)
     with pytest.raises(NumericalFailureError, match="more than 64 steps"):
         shoot_batch(seba, [0.5, 150.0])
+
+
+#: the benchmark's generated degree-2 profile d2-0 (m0 = 0, m1 = -1); at
+#: alpha = 143.708 its step-doubling estimate stalls near 1e-7 against a
+#: transfer matrix of scale 1.5e4
+D2_0_SEGMENTS = (
+    (-1.0, -0.27949319284250973, (5.68428570500694, 4.781883674929225, -1.3503578888072)),
+    (
+        -0.27949319284250973,
+        -0.06323329986982817,
+        (0.2240255072507366, 0.6198024035906564, -2.169290895421567),
+    ),
+    (
+        -0.06323329986982817,
+        0.10855211951458665,
+        (1.5290756181632152, 4.0747739736255, -4.144799340936069),
+    ),
+    (0.10855211951458665, 1.0, (-5.971002549278033, 0.623592394533598, 9.844549940222986)),
+)
+
+
+def test_step_cap_message_gives_the_stalled_estimate():
+    profile = from_segments(D2_0_SEGMENTS)
+    pattern = (
+        r"more than 65536 steps needed at alpha=143\.708; the last error estimate "
+        r"(\S+) still exceeds RTOL\*scale \+ ATOL = (\S+);"
+    )
+    for call in (lambda: shoot(profile, 143.708), lambda: shoot_batch(profile, [143.708])):
+        with pytest.raises(NumericalFailureError, match=pattern) as info:
+            call()
+        estimate, bound = map(float, re.search(pattern, str(info.value)).groups())
+        assert estimate > bound > 0.0
 
 
 def test_rel_wronskian_defect_formula():
