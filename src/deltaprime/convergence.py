@@ -22,7 +22,9 @@ exterior as a Schur complement: -h^-4*g_end on the diagonal and
 h^-2*Y_end on the right-hand side (Y the exterior battery solution).  Outside
 W two solutions differ by a multiple of g, so the error norm is the W
 difference plus a rank-one tail per side, h^-2*|dX_end|*||g||, and no
-full-length solution is formed per operator.
+full-length solution is formed per operator.  Each sub-solve is solved and
+checked once, by the routine behind resolvent_apply, whose residual norms
+also bound the operator's full-system residual.
 """
 
 from __future__ import annotations
@@ -89,8 +91,9 @@ class Grid:
 
 def make_grid(eps_min: float, L: float = DEFAULT_L, resolution: float = MIN_RESOLUTION) -> Grid:
     """Smallest admissible grid resolving eps_min with the given nodes-per-eps."""
-    if not (np.isfinite(eps_min) and eps_min > 0):
-        raise InvalidInputError(f"make_grid: eps_min must be positive, got {eps_min}")
+    for name, value in (("eps_min", eps_min), ("L", L), ("resolution", resolution)):
+        if not (np.isfinite(value) and value > 0):
+            raise InvalidInputError(f"make_grid: {name} must be positive, got {value}")
     n_plus_1 = math.ceil(2.0 * L * resolution / eps_min)
     if n_plus_1 % 2 == 0:
         n_plus_1 += 1  # N even requires N+1 odd
@@ -313,16 +316,9 @@ def _gate_residuals(what, rnorm, fnorm, xnorm, n, a_norm, k2) -> None:
         )
 
 
-def resolvent_apply(op: DiscreteOperator, k2: complex, f: np.ndarray) -> np.ndarray:
-    """Solve (A - k2*I) x = f by banded direct elimination with pivoting.
-
-    f is one right-hand side (n,) or a block (n, m) sharing one factorization,
-    which is (1, 1)-banded when sub2 and sup2 vanish and (2, 2)-banded otherwise.
-    k2 must have a nonzero imaginary part (the real axis meets the spectrum).
-    Each column's residual is checked against max(1e-12*||f||, the
-    double-precision floor eps_machine*||A||*||x|| that any backward-stable
-    solver carries), with that column's norms.
-    """
+def _solve_gated(op: DiscreteOperator, k2: complex, f):
+    """resolvent_apply's checks, solve and per-column gate; returns the (n, m)
+    solution with the residual norms it gated and its squared column norms."""
     k2 = complex(k2)
     if k2.imag == 0.0:
         raise InvalidInputError(
@@ -343,16 +339,24 @@ def resolvent_apply(op: DiscreteOperator, k2: complex, f: np.ndarray) -> np.ndar
         raise NumericalFailureError(f"resolvent_apply: elimination breakdown: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise NumericalFailureError("resolvent_apply: non-finite solution")
-    _gate_residuals(
-        "resolvent_apply",
-        _residual_norms(op, k2, x, cols),
-        np.sqrt(_sq_norms(cols)),
-        np.sqrt(_sq_norms(x)),
-        op.n,
-        op.inf_norm,
-        k2,
-    )
-    return x.reshape(f.shape)
+    rnorm, x_sq = _residual_norms(op, k2, x, cols), _sq_norms(x)
+    fnorm = np.sqrt(_sq_norms(cols))
+    _gate_residuals("resolvent_apply", rnorm, fnorm, np.sqrt(x_sq), op.n, op.inf_norm, k2)
+    return x, rnorm, x_sq
+
+
+def resolvent_apply(op: DiscreteOperator, k2: complex, f: np.ndarray) -> np.ndarray:
+    """Solve (A - k2*I) x = f by banded direct elimination with pivoting.
+
+    f is one right-hand side (n,) or a block (n, m) sharing one factorization,
+    which is (1, 1)-banded when sub2 and sup2 vanish and (2, 2)-banded otherwise.
+    k2 must have a nonzero imaginary part (the real axis meets the spectrum).
+    Each column's residual is checked against max(1e-12*||f||, the
+    double-precision floor eps_machine*||A||*||x|| that any backward-stable
+    solver carries), with that column's norms.  study's sub-solves share
+    these checks through the same routine, which also returns the norms.
+    """
+    return _solve_gated(op, k2, f)[0].reshape(np.shape(f))
 
 
 @dataclass(frozen=True)
@@ -411,12 +415,9 @@ def _solve_exterior(
     rhs = np.zeros((op.n, m + 1))
     rhs[:, :m] = F
     rhs[inner, m] = 1.0
-    Z = resolvent_apply(op, k2, rhs)
-    res = _residual_norms(op, k2, Z, rhs)
+    Z, res, z_sq = _solve_gated(op, k2, rhs)
     gz = np.einsum("i,ij->j", Z[:, m].conj(), Z)
-    return _Exterior(
-        end, Z[inner, :m], Z[inner, m], _sq_norms(Z[:, :m]), gz[:m], gz[m].real, res[:m], res[m]
-    )
+    return _Exterior(end, Z[inner, :m], Z[inner, m], z_sq[:m], gz[:m], gz[m].real, res[:m], res[m])
 
 
 def _solve_window(
@@ -436,10 +437,7 @@ def _solve_window(
     for s in sides:
         diag[s.end] -= inv_h2 * inv_h2 * s.g_end
         rhs[s.end] += inv_h2 * s.y_end
-    system = replace(op, diag=diag)
-    X = resolvent_apply(system, k2, rhs)
-    bound = _residual_norms(system, k2, X, rhs)
-    x_sq = _sq_norms(X)
+    X, bound, x_sq = _solve_gated(replace(op, diag=diag), k2, rhs)
     for s in sides:
         c = -inv_h2 * X[s.end]  # exterior solution: Y - c*g
         bound += s.y_res + inv_h2 * np.abs(X[s.end]) * s.g_res
@@ -489,9 +487,10 @@ def study(
     two exterior blocks are solved once, as one block each for the battery
     and the boundary Green's column g; each operator then solves only its W
     system with the Schur-corrected end rows, and the error adds to the W
-    difference the rank-one exterior tails h^-2*|dX_end|*||g||.  Every
-    sub-solve runs through resolvent_apply with its gates, and the bound on
-    each operator's full-system residual is gated at the same threshold.
+    difference the rank-one exterior tails h^-2*|dX_end|*||g||.  Each
+    sub-solve is solved and gated once by the routine behind resolvent_apply;
+    its residual norms build the bound on each operator's full-system
+    residual, gated at the same threshold.
 
     The identically-zero profile is rejected: its scaled family is free and
     eps-independent, so the dichotomy does not apply.

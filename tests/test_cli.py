@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from deltaprime import finite_coeffs, builtin_profile, moments
+from deltaprime import asymptotic_coeffs, finite_coeffs, builtin_profile, moments, study
 from deltaprime.cli import render, run
+
+from oracles import step_boundary_data
 
 GOLDEN = Path(__file__).parent / "data" / "table6_golden.txt"
 
@@ -157,6 +159,70 @@ def test_converge_json_summary(capsys):
     assert set(data) == {"entries", "fitted_rate", "limit_kind", "theta"}
     assert data["limit_kind"] == "non-resonant"
     assert data["theta"] is None
+
+
+def test_converge_table_lines(capsys):
+    code, out, _ = invoke(
+        capsys, "converge", "--builtin", "seba-quadratic", "--alpha", "18.1747",
+        "--eps-list", "0.2,0.1",
+    )
+    assert code == 0
+    rep = study(builtin_profile("seba-quadratic"), 18.1747, (0.2, 0.1))
+    lines = out.splitlines()
+    assert lines[0].split() == ["eps", "error"]
+    assert [line.split() for line in lines[1:3]] == [
+        [f"{eps:.6g}", f"{err:.6g}"] for eps, err in rep.entries
+    ]
+    assert lines[3:] == [
+        f"fitted_rate={rep.fitted_rate:.6g}",
+        "limit_kind=resonant",
+        f"theta={rep.theta:.6g}",
+    ]
+
+
+def test_scatter_asymptotic_json(capsys):
+    code, out, _ = invoke(
+        capsys, "scatter-asymptotic", "--builtin", "seba-quadratic",
+        "--alpha", "18.1747", "--k", "2.0", "--eps", "0.01", "--format", "json",
+    )
+    assert code == 0
+    data = json.loads(out)
+    c = asymptotic_coeffs(builtin_profile("seba-quadratic"), 18.1747, 0.02)
+    assert (data["R_re"], data["R_im"]) == (c.R.real, c.R.imag)
+    assert (data["T_re"], data["T_im"]) == (c.T.real, c.T.imag)
+    assert data["regime"] == "asymptotic"
+
+
+def test_shoot_csv_matches_closed_form(capsys):
+    code, out, _ = invoke(
+        capsys, "shoot", "--builtin", "step", "--alpha", "2.0", "--kappa2", "0.5",
+        "--format", "csv",
+    )
+    assert code == 0
+    header, row = out.strip().splitlines()
+    assert header == "u1,du1,v1,dv1,wronskian_defect"
+    values = [float(v) for v in row.split(",")]
+    assert values[:4] == pytest.approx(step_boundary_data(2.0, 0.5), rel=1e-8)
+    assert values[4] < 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("shoot", "--builtin", "step", "--alpha", "nan"), "expected a finite number"),
+        (
+            ("converge", "--builtin", "seba-quadratic", "--alpha", "10.0",
+             "--eps-list", "0.2,x"),
+            "expected comma-separated numbers",
+        ),
+    ],
+    ids=["finite-float", "eps-list"],
+)
+def test_argument_rejections_exit_2(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_numerical_failure_exit_code(capsys):

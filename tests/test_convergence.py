@@ -52,6 +52,25 @@ def test_make_grid_resolution():
     assert g.N % 2 == 0
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"L": math.inf},
+        {"L": math.nan},
+        {"L": -3.0},
+        {"resolution": math.nan},
+        {"resolution": math.inf},
+        {"resolution": 0.0},
+        {"resolution": -5.0},
+    ],
+    ids=["L-inf", "L-nan", "L-negative", "res-nan", "res-inf", "res-zero", "res-negative"],
+)
+def test_make_grid_rejects_bad_length_and_resolution(kwargs):
+    name = next(iter(kwargs))
+    with pytest.raises(InvalidInputError, match=f"make_grid: {name} must be positive"):
+        make_grid(0.1, **kwargs)
+
+
 def test_discretize_seps_symmetric(seba):
     g = small_grid()
     op = discretize_seps(seba, 7.0, 0.5, g)
@@ -432,7 +451,7 @@ def test_study_gate_bounds_the_full_residual(seba, monkeypatch):
     g = make_grid(min(eps_list), L=4.0, resolution=16)
     conv = deltaprime.convergence
     solved, gated = [], []
-    real_solve, real_apply = conv.solve_banded, conv.resolvent_apply
+    real_solve, real_apply = conv.solve_banded, conv._solve_gated
     real_gate = conv._gate_residuals
 
     def perturbing(lu, ab, b):
@@ -442,9 +461,9 @@ def test_study_gate_bounds_the_full_residual(seba, monkeypatch):
         return x
 
     def apply_spy(op, k2, f):
-        x = real_apply(op, k2, f)
+        x, *norms = real_apply(op, k2, f)
         solved.append(x)
-        return x
+        return (x, *norms)
 
     def gate_spy(what, rnorm, fnorm, xnorm, n, a_norm, k2):
         if what.startswith("study"):
@@ -452,7 +471,7 @@ def test_study_gate_bounds_the_full_residual(seba, monkeypatch):
         return real_gate(what, rnorm, fnorm, xnorm, n, a_norm, k2)
 
     monkeypatch.setattr(conv, "solve_banded", perturbing)
-    monkeypatch.setattr(conv, "resolvent_apply", apply_spy)
+    monkeypatch.setattr(conv, "_solve_gated", apply_spy)
     monkeypatch.setattr(conv, "_gate_residuals", gate_spy)
     rep = study(seba, 18.1747, eps_list=eps_list, grid=g)
     left, right, *windows = solved
@@ -557,3 +576,41 @@ def test_study_rejects_empty_battery(seba):
     g = make_grid(0.1, L=20.0, resolution=16)
     with pytest.raises(InvalidInputError, match="empty"):
         study(seba, 10.0, eps_list=(0.2, 0.1), grid=g, test_functions=[])
+
+
+def test_study_checks_each_sub_solve_once(seba, monkeypatch):
+    """One residual per banded solve: the exterior record and the full-residual
+    bound reuse the norms the sub-solve's own gate computed."""
+    conv = deltaprime.convergence
+    counts = {"solve_banded": 0, "_residual_norms": 0}
+
+    def counting(name):
+        real = getattr(conv, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(conv, name, counting(name))
+    study(seba, 18.1746)
+    assert counts == {"solve_banded": 7, "_residual_norms": 7}
+
+
+@pytest.mark.parametrize(
+    "corrupt,match",
+    [
+        (lambda f: f[:-1], r"test_functions\[1\] has shape"),
+        (lambda f: 0.0 * f, r"test_functions\[1\] is identically zero"),
+        (lambda f: np.where(np.arange(f.size) == 7, np.nan, f), "must be finite"),
+    ],
+    ids=["shape", "zero-column", "non-finite"],
+)
+def test_study_rejects_bad_battery(seba, corrupt, match):
+    g = make_grid(0.1, L=4.0, resolution=16)
+    fs = default_test_functions(g)
+    fs[1] = corrupt(fs[1])
+    with pytest.raises(InvalidInputError, match=match):
+        study(seba, 10.0, eps_list=(0.2, 0.1), grid=g, test_functions=fs)
