@@ -24,6 +24,6 @@ class NumericalFailureError(DeltaPrimeError, RuntimeError):
 class NearTangencyWarning(UserWarning):
     """The mismatch function dips towards zero without a sign change.
 
-    Indicates a scan step too coarse to separate a close pair of roots;
-    the dip is reported instead of being refined as a root.
+    |g| has no positive local minimum, so a dip proves at least two roots
+    between its scan neighbours, which the scan step is too coarse to separate.
     """

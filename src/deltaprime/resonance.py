@@ -29,10 +29,6 @@ from .shooting import shoot, shoot_batch
 #: refined-root residual must satisfy |g(alpha)| <= RESIDUAL_SCALE * max(1, |u1|, |dv1|)
 RESIDUAL_SCALE = 1e-8
 
-#: |g| dips below this fraction of the neighbouring scan values without a sign
-#: change -> near-tangency warning instead of a root
-TANGENCY_FRACTION = 1e-6
-
 DEFAULT_SCAN_STEP = 0.5
 DEFAULT_ALPHA_MIN = -200.0
 DEFAULT_ALPHA_MAX = 200.0
@@ -71,28 +67,33 @@ def _scan_values(profile, alphas):
 
 
 def _brackets_from_scan(alphas, gvals):
-    """Sign-change cells and near-tangency indices, in grid order, from scanned g.
+    """Sign-change brackets and dips, as grid indices in grid order, from scanned g.
 
-    A root needs a genuine crossing: either opposite nonzero signs across a
-    cell, or an exact grid zero whose neighbours have opposite signs (then a
-    collapsed bracket is returned).  Tangential touches and identically-zero
-    stretches (the zero profile makes g vanish everywhere) yield nothing.
-    Pure function of the scan data, independent of how g was produced.
+    A bracket is a cell (i, i + 1) where g changes sign, or (i - 1, i + 1)
+    around an exact grid zero whose neighbours have opposite signs.  g is
+    real, entire of order 1/2 and has only real zeros (the Laguerre-Polya
+    class; Levin, *Distribution of Zeros of Entire Functions*, AMS 1964), so
+    by Hadamard (log|g|)'' = -m/alpha^2 - sum_k 1/(alpha - alpha_k)^2 < 0
+    where g != 0, m being the order of the zero at alpha = 0 and alpha_k the
+    other zeros: |g| has no positive local minimum, and every zero but
+    alpha = 0 is simple.  A dip, a grid point where g does not change sign
+    and |g| is below both neighbours (an exact zero included), thus proves
+    at least two roots between those neighbours; the dip whose neighbours
+    straddle the double zero at alpha = 0 is skipped.  A cell holding a root
+    pair that shows no dip is still missed.  Identically-zero stretches (the
+    zero profile) yield nothing.
     """
-    brackets, tangencies = [], []
-    sign = [math.copysign(1.0, g) for g in gvals]
+    brackets, dips = [], []
+    s, mag = np.sign(gvals).tolist(), np.abs(gvals).tolist()
     for i in range(len(alphas) - 1):
-        if gvals[i] != 0.0 and gvals[i + 1] != 0.0 and sign[i] != sign[i + 1]:
+        if s[i] * s[i + 1] < 0:
             brackets.append((i, i + 1))
-        elif i > 0 and gvals[i - 1] != 0.0 and gvals[i + 1] != 0.0:
-            ga, gi, gb = abs(gvals[i - 1]), abs(gvals[i]), abs(gvals[i + 1])
-            if gi == 0.0:
-                if sign[i - 1] != sign[i + 1]:
-                    brackets.append((i, i))
-            elif sign[i - 1] == sign[i] == sign[i + 1] and gi < ga and gi < gb:
-                if gi < TANGENCY_FRACTION * max(1.0, ga, gb):
-                    tangencies.append(i)
-    return brackets, tangencies
+        elif i > 0 and s[i] == 0 and s[i - 1] * s[i + 1] < 0:
+            brackets.append((i - 1, i + 1))
+        elif i > 0 and s[i - 1] == s[i + 1] != 0 and mag[i - 1] > mag[i] < mag[i + 1]:
+            if not alphas[i - 1] < 0.0 < alphas[i + 1]:
+                dips.append(i)
+    return brackets, dips
 
 
 def _passes_root_gate(fd) -> bool:
@@ -106,26 +107,18 @@ def _passes_root_gate(fd) -> bool:
 def _refine_and_package(profile, a, b, fa, fb) -> ResonantValue:
     """Refine the scanned sign-change bracket [a, b] with g(a) = fa, g(b) = fb.
 
-    a == b is an exact grid zero.  theta and the residual are read from the
-    refinement's own shoot at the root.  At a root u1*dv1 = 1, and the
-    transfer matrix is accurate relative to its largest entry, so theta is
-    u1 when |u1| >= 1 and 1/dv1 otherwise.  Raises NumericalFailureError
-    when the refined root fails the root gate.
+    theta and the residual are read from the refinement's own shoot at the
+    root.  At a root u1*dv1 = 1, and the transfer matrix is accurate relative
+    to its largest entry, so theta is u1 when |u1| >= 1 and 1/dv1 otherwise.
+    Raises NumericalFailureError when the refined root fails the root gate.
     """
     shots = {}
     g = lambda x: shots.setdefault(x, shoot(profile, x, 0.0)).du1
-    if a == b:
-        root, bracket = a, (a, a)
-    else:
-        xtol = max(1e-13, 8.0 * abs(0.5 * (a + b)) * np.finfo(float).eps)
-        root, _, bracket, _ = refine_bracket(g, a, b, fa, fb, xtol=xtol, max_iter=200)
+    xtol = max(1e-13, 8.0 * abs(0.5 * (a + b)) * np.finfo(float).eps)
+    root, _, bracket, _ = refine_bracket(g, a, b, fa, fb, xtol=xtol, max_iter=200)
     root, bracket = float(root), (float(bracket[0]), float(bracket[1]))
     fd = shots.get(root) or shoot(profile, root, 0.0)
     residual = abs(fd.du1)
-    if not np.isfinite(fd.u1) or fd.u1 == 0.0:
-        raise NumericalFailureError(
-            f"resonance refinement at alpha={root}: degenerate endpoint value u1={fd.u1}"
-        )
     if not _passes_root_gate(fd):
         raise NumericalFailureError(
             f"resonance refinement at alpha={root} stalled: residual {residual:.3e} "
@@ -138,15 +131,16 @@ def _refine_and_package(profile, a, b, fa, fb) -> ResonantValue:
 def _roots(profile, grid):
     """Scan g on grid, bracket its sign changes and refine each bracket.
 
-    Returns (roots, tangencies): a lazy iterator of the refined roots in grid
-    order, so near-tangency (alpha, g) points can be reported before any
-    refinement runs or raises.  Brackets are disjoint and their ends are not
-    zeros, so the roots are distinct zeros of g.
+    Returns (roots, dips): a lazy iterator of the refined roots in grid
+    order, and each dip's (alpha, g, lo, hi), lo and hi its scan neighbours,
+    known before any refinement runs or raises.  Brackets are disjoint and
+    their ends are not zeros, so the roots are distinct zeros of g.
     """
     gvals = _scan_values(profile, grid)
-    brackets, tangencies = _brackets_from_scan(grid, gvals)
+    brackets, dips = _brackets_from_scan(grid, gvals)
     refine = lambda i, j: _refine_and_package(profile, grid[i], grid[j], gvals[i], gvals[j])
-    return (refine(i, j) for i, j in brackets), [(grid[i], gvals[i]) for i in tangencies]
+    dips = [(grid[i], gvals[i], grid[i - 1], grid[i + 1]) for i in dips]
+    return (refine(i, j) for i, j in brackets), dips
 
 
 def find_resonances(
@@ -160,12 +154,15 @@ def find_resonances(
     g is scanned by one ``shoot_batch`` call on a uniform grid of cells about
     scan_step wide; each cell where g changes sign is refined by Brent's
     method.  Roots in different cells are all returned, however close.  A
-    cell holding an even number of roots shows no sign change and is missed;
-    a NearTangencyWarning (|g| at a grid point far below its neighbours) is
-    the only hint.  alpha = 0 (resonant for every profile, theta = 1) is
-    inserted analytically and not scanned within |alpha| < scan_step/2, where
-    g has a tangential zero for delta-prime-like profiles; a refined bracket
-    that closes on alpha = 0 is that root, not another.
+    cell holding an even number of roots shows no sign change and is missed.
+    |g| has no positive local minimum (Laguerre-Polya, see
+    ``_brackets_from_scan``), so a dip in |g| without a sign change proves
+    at least two roots between the dip's scan neighbours and raises a
+    NearTangencyWarning; a root pair that shows no dip is missed silently.
+    alpha = 0 (resonant for every profile, theta = 1) is inserted
+    analytically and not scanned within |alpha| < scan_step/2, where g has a
+    tangential zero for delta-prime-like profiles; a refined bracket that
+    closes on alpha = 0 is that root, not another.
     """
     if not (np.isfinite(alpha_min) and np.isfinite(alpha_max)):
         raise InvalidInputError("find_resonances: alpha_min and alpha_max must be finite")
@@ -178,11 +175,11 @@ def find_resonances(
 
     n_cells = max(1, int(round((alpha_max - alpha_min) / scan_step)))
     grid = list(np.linspace(alpha_min, alpha_max, n_cells + 1))
-    roots, tangencies = _roots(profile, [a for a in grid if abs(a) >= scan_step / 2.0])
-    for a, g in tangencies:
+    roots, dips = _roots(profile, [a for a in grid if abs(a) >= scan_step / 2.0])
+    for a, g, lo, hi in dips:
         warnings.warn(
-            f"|g| dips to {g:.3e} near alpha={a} without a sign change; "
-            "possible close root pair, decrease scan_step",
+            f"|g| dips to {g:.3e} at alpha={a} without a sign change, so at least two "
+            f"roots lie in ({lo}, {hi}); decrease scan_step to resolve them",
             NearTangencyWarning,
             stacklevel=2,
         )

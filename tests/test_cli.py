@@ -261,3 +261,14 @@ def test_render_moments_direct():
     assert render(m, "table") == "m0=0 m1=-1"
     assert render(m, "csv") == "m0,m1\n0.0,-1.0"
     assert json.loads(render(m, "json")) == {"m0": 0.0, "m1": -1.0}
+
+
+def test_resonances_step_root_where_u1_rounds_to_zero(capsys):
+    code, out, _ = invoke(
+        capsys, "resonances", "--builtin", "step",
+        "--alpha-min", "-390", "--alpha-max", "-380", "--format", "csv",
+    )
+    assert code == 0
+    rows = out.strip().splitlines()
+    assert len(rows) == 2
+    assert float(rows[1].split(",")[1]) == pytest.approx(4.199163514713174e-09, rel=1e-10)

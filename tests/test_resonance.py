@@ -128,8 +128,9 @@ def test_brackets_from_scan_sign_change():
 
 
 def test_brackets_from_scan_grid_zero_crossing():
+    # an exact grid zero is refined like any bracket, from its two neighbours
     brackets, _ = _brackets_from_scan([0.0, 1.0, 2.0], [1.0, 0.0, -1.0])
-    assert brackets == [(1, 1)]
+    assert brackets == [(0, 2)]
 
 
 def test_brackets_from_scan_tangential_zero_ignored():
@@ -148,6 +149,18 @@ def test_brackets_from_scan_near_tangency_warning_indices():
     )
     assert brackets == []
     assert tang == [1]
+
+
+def test_brackets_from_scan_any_dip_is_reported():
+    # |g| has no positive local minimum, so even a shallow dip is a root pair
+    assert _brackets_from_scan([0.0, 1.0, 2.0], [1.0, 0.5, 1.0]) == ([], [1])
+    # a nonzero root is simple, so a touch of zero has a partner nearby
+    assert _brackets_from_scan([0.0, 1.0, 2.0], [-1.0, 0.0, -2.0]) == ([], [1])
+
+
+def test_brackets_from_scan_skips_the_dip_around_alpha_zero():
+    # the double zero at alpha = 0 is the pair that this dip proves
+    assert _brackets_from_scan([-1.0, -0.5, 0.5, 1.0], [2.0, 0.3, 0.5, 2.0]) == ([], [])
 
 
 def test_coupling_at_zero(seba, step, zero):
@@ -385,3 +398,60 @@ def test_alpha_zero_reported_once_when_g_crosses_there():
     roots = find_resonances(profile, -5.0, 5.0, 0.5)
     assert [(rv.alpha, rv.theta) for rv in roots if abs(rv.alpha) < 0.5] == [(0.0, 1.0)]
     assert any(rv.alpha > 0.5 for rv in roots)
+
+
+def test_grid_zero_is_refined_through_brent(seba, monkeypatch):
+    _fake_g(monkeypatch, lambda a: a - 1.0)
+    roots = find_resonances(seba, 0.5, 1.5, 0.25)
+    assert [(rv.alpha, rv.residual) for rv in roots] == [(1.0, 0.0)]
+
+
+#: the benchmark pool's generated degree-1 profile d1-0 (m0 = 0, m1 = -1):
+#: (a, b, (c0, c1)) with psi = c0 + c1*x on [a, b]
+D1_0_SEGMENTS = (
+    (-1.0, -0.8274012240775848, (2.147350185069295, 0.5459633595311064)),
+    (-0.8274012240775848, -0.5230295975813357, (-0.9969045525991681, 0.05196396473979383)),
+    (-0.5230295975813357, -0.35660458539563034, (-1.1019781360278729, -2.5930590313378485)),
+    (-0.35660458539563034, 0.5414444413549306, (1.5589482297038257, -2.4782425887183526)),
+    (0.5414444413549306, 1.0, (-1.8988901638739513, -0.849994161569415)),
+)
+
+
+def test_root_pair_in_one_scan_cell_pair_warns():
+    profile = from_segments(D1_0_SEGMENTS)
+    with pytest.warns(NearTangencyWarning) as record:
+        coarse = find_resonances(profile, 0.0, 100.0, 5.0)
+    assert len(record) == 1
+    assert "alpha=20.0 " in str(record[0].message)
+    assert not any(15.0 < rv.alpha < 25.0 for rv in coarse)
+    pair = [rv.alpha for rv in find_resonances(profile, 10.0, 30.0, 0.5)]
+    assert pair == pytest.approx([20.490037, 23.843048], abs=1e-6)
+    assert all(15.0 < a < 25.0 for a in pair)
+
+
+@pytest.mark.parametrize("key", [0, 1, 2, 3, "seba", "d1-0"])
+def test_g_has_no_dip_on_a_fine_scan(key, seba):
+    # Laguerre-Polya: away from alpha = 0, |g| has no positive local minimum,
+    # and the default scan finds every sign change that a 5x finer one sees
+    profiles = {"seba": seba, "d1-0": from_segments(D1_0_SEGMENTS)}
+    profile = profiles[key] if key in profiles else _generated_pc(key)
+    grid = np.linspace(-60.0, 60.0, 1201)
+    brackets, dips = _brackets_from_scan(grid, shoot_batch(profile, grid)[1])
+    assert dips == []
+    roots = [rv for rv in find_resonances(profile, -60.0, 60.0, 0.5) if rv.alpha != 0.0]
+    assert len(brackets) == len(roots)
+
+
+#: the step root with tan m = tanh m, m ~ 19.635, alpha = -m^2, and its
+#: coupling value theta = cos(m)cosh(m) - sin(m)sinh(m), from the closed form
+#: evaluated offline with mpmath at 60 digits; the refinement's final shoot
+#: there has u1 = du1 = 0.0 exactly, and theta is 1/dv1
+STEP_FAR_ALPHA = -385.5314219175530707019997
+STEP_FAR_THETA = 4.199163514713174157535386e-09
+
+
+def test_step_root_where_u1_rounds_to_zero(step):
+    roots = find_resonances(step, -390.0, -380.0)
+    assert len(roots) == 1
+    assert roots[0].alpha == pytest.approx(STEP_FAR_ALPHA, rel=1e-14)
+    assert roots[0].theta == pytest.approx(STEP_FAR_THETA, rel=1e-10)
