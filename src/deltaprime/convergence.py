@@ -468,17 +468,15 @@ def study(
     alpha: float,
     eps_list=DEFAULT_EPS_LIST,
     grid: Grid | None = None,
-    k2: complex = DEFAULT_K2,
     test_functions=None,
-    resonance_tol: float = 1e-3,
 ) -> ConvergenceReport:
     """Measure the resolvent-application error of the scaled operator family
     against its classified limit over a decreasing list of eps.
 
     error(eps) = max over the test battery of
-    ||(S_eps - k2)^-1 f - (S_0 - k2)^-1 f||_2 / ||f||_2 in the mesh-weighted
-    discrete L2 norm.  alpha is classified with tolerance resonance_tol
-    (couplings published to a few decimals snap to the refined root; the
+    ||(S_eps - k2)^-1 f - (S_0 - k2)^-1 f||_2 / ||f||_2, k2 = DEFAULT_K2, in
+    the mesh-weighted discrete L2 norm.  alpha is classified with tolerance
+    1e-3 (couplings published to a few decimals snap to the refined root; the
     limit operator uses the root's theta).
 
     All operators share the free rows outside the window W (module
@@ -510,7 +508,7 @@ def study(
     if grid is None:
         grid = make_grid(min(eps_arr), resolution=STUDY_RESOLUTION)
 
-    c = classify(profile, alpha, tol=resonance_tol)
+    c = classify(profile, alpha, tol=1e-3)
     limit_op = discretize_limit(c, grid)
 
     if test_functions is None:
@@ -541,10 +539,10 @@ def study(
     inv_h2 = 1.0 / (grid.h * grid.h)
     sides = []
     if a > 0:
-        sides.append(_solve_exterior(_block(limit_op, 0, a), k2, F[:a], a - 1, 0))
+        sides.append(_solve_exterior(_block(limit_op, 0, a), DEFAULT_K2, F[:a], a - 1, 0))
     if b < grid.N:
-        sides.append(_solve_exterior(_block(limit_op, b, grid.N), k2, F[b:], 0, -1))
-    X0, *Xs = (_solve_window(op, k2, F[a:b], sides, inv_h2, grid.N, fnorm) for op in ops)
+        sides.append(_solve_exterior(_block(limit_op, b, grid.N), DEFAULT_K2, F[b:], 0, -1))
+    X0, *Xs = (_solve_window(op, DEFAULT_K2, F[a:b], sides, inv_h2, grid.N, fnorm) for op in ops)
     entries = []
     for eps, X in zip(eps_arr, Xs):
         dX = X - X0

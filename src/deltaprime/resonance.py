@@ -6,11 +6,17 @@ nontrivial solution; equivalently when g(alpha) = u'(1; 0, alpha) vanishes.
 At a resonant alpha the scaled operators converge to a connected point
 interaction with coupling theta = w(1)/w(-1); otherwise the limit decouples
 into a Dirichlet pair.
+
+One search, ``_roots``, decides every answer: ``classify(profile, alpha,
+tol)`` is Resonant exactly when ``find_resonances(profile, alpha - tol,
+alpha + tol)`` is non-empty, with the theta of the root nearest alpha, and
+``coupling`` returns u1 at alpha exactly when ``classify`` is Resonant.  The
+zero profile, whose g vanishes identically, reports only alpha = 0.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -24,7 +30,7 @@ from .errors import (
     NumericalFailureError,
 )
 from .profiles import PotentialProfile
-from .shooting import shoot, shoot_batch
+from .shooting import BLOCK_ELEMENTS, shoot, shoot_batch
 
 #: refined-root residual must satisfy |g(alpha)| <= RESIDUAL_SCALE * max(1, |u1|, |dv1|)
 RESIDUAL_SCALE = 1e-8
@@ -96,14 +102,6 @@ def _brackets_from_scan(alphas, gvals):
     return brackets, dips
 
 
-def _passes_root_gate(fd) -> bool:
-    """|g| is small against the transfer matrix's scale, |u1| or |dv1| at a root.
-
-    Gating on both treats a profile and its mirror (theta -> 1/theta) alike.
-    """
-    return abs(fd.du1) <= RESIDUAL_SCALE * max(1.0, abs(fd.u1), abs(fd.dv1))
-
-
 def _refine_and_package(profile, a, b, fa, fb) -> ResonantValue:
     """Refine the scanned sign-change bracket [a, b] with g(a) = fa, g(b) = fb.
 
@@ -119,7 +117,8 @@ def _refine_and_package(profile, a, b, fa, fb) -> ResonantValue:
     root, bracket = float(root), (float(bracket[0]), float(bracket[1]))
     fd = shots.get(root) or shoot(profile, root, 0.0)
     residual = abs(fd.du1)
-    if not _passes_root_gate(fd):
+    # gating on |u1| and |dv1| treats a profile and its mirror (theta -> 1/theta) alike
+    if residual > RESIDUAL_SCALE * max(1.0, abs(fd.u1), abs(fd.dv1)):
         raise NumericalFailureError(
             f"resonance refinement at alpha={root} stalled: residual {residual:.3e} "
             f"exceeds {RESIDUAL_SCALE:.0e}*max(1, |u1|, |dv1|)"
@@ -128,19 +127,38 @@ def _refine_and_package(profile, a, b, fa, fb) -> ResonantValue:
     return ResonantValue(root, theta, residual, bracket)
 
 
-def _roots(profile, grid):
-    """Scan g on grid, bracket its sign changes and refine each bracket.
+def _roots(profile, lo, hi, step):
+    """The roots of g in [lo, hi]: the one search of ``find_resonances`` and ``classify``.
 
-    Returns (roots, dips): a lazy iterator of the refined roots in grid
-    order, and each dip's (alpha, g, lo, hi), lo and hi its scan neighbours,
-    known before any refinement runs or raises.  Brackets are disjoint and
-    their ends are not zeros, so the roots are distinct zeros of g.
+    g is scanned by one ``shoot_batch`` call on max(1, round((hi - lo)/step))
+    uniform cells, skipping |alpha| < step/2, where g has a tangential zero
+    for delta-prime-like profiles, and each sign change is refined by Brent's
+    method.  alpha = 0 (resonant for every profile, theta = 1) is inserted
+    analytically when lo <= 0 <= hi, and a refined bracket that closes on it
+    is that root, so the zero profile has the single root alpha = 0.  A scan
+    of more than BLOCK_ELEMENTS cells raises InvalidInputError before its
+    grid is built.
+
+    Returns (roots, dips): a lazy iterator of the roots in grid order,
+    alpha = 0 last, and each dip's (alpha, g, lo, hi), lo and hi its scan
+    neighbours, known before any refinement runs or raises.  Brackets are
+    disjoint and their ends are not zeros, so the roots are distinct zeros.
     """
+    if (hi - lo) / step > BLOCK_ELEMENTS:
+        raise InvalidInputError(
+            f"resonance scan of [{lo}, {hi}] in steps of {step} exceeds "
+            f"{BLOCK_ELEMENTS} cells; narrow the window or widen the step"
+        )
+    n_cells = max(1, int(round((hi - lo) / step)))
+    grid = [a for a in np.linspace(lo, hi, n_cells + 1) if abs(a) >= step / 2.0]
     gvals = _scan_values(profile, grid)
     brackets, dips = _brackets_from_scan(grid, gvals)
     refine = lambda i, j: _refine_and_package(profile, grid[i], grid[j], gvals[i], gvals[j])
     dips = [(grid[i], gvals[i], grid[i - 1], grid[i + 1]) for i in dips]
-    return (refine(i, j) for i, j in brackets), dips
+    refined = (refine(i, j) for i, j in brackets)
+    roots = (rv for rv in refined if not rv.bracket[0] <= 0.0 <= rv.bracket[1])
+    zero = [ResonantValue(0.0, 1.0, 0.0, (-step / 2.0, step / 2.0))] if lo <= 0.0 <= hi else []
+    return itertools.chain(roots, zero), dips
 
 
 def find_resonances(
@@ -151,18 +169,14 @@ def find_resonances(
 ) -> list[ResonantValue]:
     """All resonant couplings in [alpha_min, alpha_max], sorted ascending.
 
-    g is scanned by one ``shoot_batch`` call on a uniform grid of cells about
-    scan_step wide; each cell where g changes sign is refined by Brent's
-    method.  Roots in different cells are all returned, however close.  A
-    cell holding an even number of roots shows no sign change and is missed.
-    |g| has no positive local minimum (Laguerre-Polya, see
-    ``_brackets_from_scan``), so a dip in |g| without a sign change proves
-    at least two roots between the dip's scan neighbours and raises a
-    NearTangencyWarning; a root pair that shows no dip is missed silently.
-    alpha = 0 (resonant for every profile, theta = 1) is inserted
-    analytically and not scanned within |alpha| < scan_step/2, where g has a
-    tangential zero for delta-prime-like profiles; a refined bracket that
-    closes on alpha = 0 is that root, not another.
+    The roots ``_roots`` finds in cells about scan_step wide.  Roots in
+    different cells are all returned, however close.  A cell holding an even
+    number of roots shows no sign change.  |g| has no positive local minimum
+    (Laguerre-Polya, see ``_brackets_from_scan``), so a dip in |g| without a
+    sign change proves at least two roots between the dip's scan neighbours
+    and raises a NearTangencyWarning; a root pair that shows no dip is missed
+    silently.  alpha = 0 is inserted analytically and not scanned within
+    |alpha| < scan_step/2; the zero profile reports only alpha = 0.
     """
     if not (np.isfinite(alpha_min) and np.isfinite(alpha_max)):
         raise InvalidInputError("find_resonances: alpha_min and alpha_max must be finite")
@@ -173,9 +187,7 @@ def find_resonances(
     if not (np.isfinite(scan_step) and scan_step > 0):
         raise InvalidInputError(f"find_resonances: scan_step must be positive, got {scan_step}")
 
-    n_cells = max(1, int(round((alpha_max - alpha_min) / scan_step)))
-    grid = list(np.linspace(alpha_min, alpha_max, n_cells + 1))
-    roots, dips = _roots(profile, [a for a in grid if abs(a) >= scan_step / 2.0])
+    roots, dips = _roots(profile, alpha_min, alpha_max, scan_step)
     for a, g, lo, hi in dips:
         warnings.warn(
             f"|g| dips to {g:.3e} at alpha={a} without a sign change, so at least two "
@@ -183,21 +195,17 @@ def find_resonances(
             NearTangencyWarning,
             stacklevel=2,
         )
-
-    found = [rv for rv in roots if not rv.bracket[0] <= 0.0 <= rv.bracket[1]]
-    if alpha_min <= 0.0 <= alpha_max:
-        found.append(ResonantValue(0.0, 1.0, 0.0, (-scan_step / 2.0, scan_step / 2.0)))
-    return sorted(found, key=lambda rv: rv.alpha)
+    return sorted(roots, key=lambda rv: rv.alpha)
 
 
 def coupling(profile: PotentialProfile, alpha: float, alpha_tol: float = 1e-3) -> float:
     """Coupling value theta = u(1; 0, alpha) at a resonant alpha.
 
-    With the normalisation u(-1) = 1, u(1) is the endpoint ratio
-    w(1)/w(-1) of the Neumann eigenfunction.  alpha is accepted when its own
-    shoot passes the refined-root gate, or else when ``classify(profile,
-    alpha, alpha_tol)`` is Resonant (so couplings published to a few
-    decimals are accepted); NotResonantError is raised otherwise.
+    With the normalisation u(-1) = 1, u(1) is the endpoint ratio w(1)/w(-1)
+    of the Neumann eigenfunction.  alpha is accepted exactly when
+    ``classify(profile, alpha, alpha_tol)`` is Resonant, so couplings
+    published to a few decimals are accepted, and the zero profile only near
+    alpha = 0; NotResonantError is raised otherwise.
 
     The returned theta is u1 at the given alpha, not at the refined root.
     Where |theta| < 1 that entry is ill-conditioned in alpha: the benchmark's
@@ -209,34 +217,25 @@ def coupling(profile: PotentialProfile, alpha: float, alpha_tol: float = 1e-3) -
         raise InvalidInputError("coupling: alpha must be finite")
     if not alpha_tol > 0:
         raise InvalidInputError(f"coupling: alpha_tol must be positive, got {alpha_tol}")
-    fd = shoot(profile, alpha, 0.0)
-    if _passes_root_gate(fd) or isinstance(classify(profile, alpha, alpha_tol), Resonant):
-        return fd.u1
-    raise NotResonantError(
-        f"coupling: alpha={alpha} is not resonant (residual {abs(fd.du1):.3e}, "
-        f"no refined root within {alpha_tol})"
-    )
+    if isinstance(classify(profile, alpha, alpha_tol), Resonant):
+        return shoot(profile, alpha, 0.0).u1
+    raise NotResonantError(f"coupling: alpha={alpha} has no root within {alpha_tol}")
 
 
 def classify(profile: PotentialProfile, alpha: float, tol: float = 1e-8) -> Classification:
-    """Resonant(theta) when a refined root of g lies within tol of alpha.
+    """Resonant(theta) when a root of g lies in [alpha - tol, alpha + tol].
 
-    The roots are searched on [alpha - w, alpha + w], w = max(2*tol, 0.75),
-    in cells of width at most w/3.  theta is taken at the refined root nearest
-    alpha (it parameterises the connected limit operator); NonResonant means
-    the limit is the Dirichlet decoupled pair.
+    The roots are exactly those ``find_resonances(profile, alpha - tol,
+    alpha + tol)`` returns, from the same search at the default scan step,
+    so the zero profile is resonant only where the window holds alpha = 0.
+    theta is taken at the refined root nearest alpha (it parameterises the
+    connected limit operator); NonResonant means the limit is the Dirichlet
+    decoupled pair.
     """
     if not np.isfinite(alpha):
         raise InvalidInputError("classify: alpha must be finite")
     if not tol > 0:
         raise InvalidInputError(f"classify: tol must be positive, got {tol}")
-    if abs(alpha) <= tol:
-        return Resonant(1.0)
-    window = max(2.0 * tol, 0.75)
-    lo, hi = alpha - window, alpha + window
-    n_cells = max(2, int(math.ceil((hi - lo) / (window / 3.0))))
-    roots, _ = _roots(profile, list(np.linspace(lo, hi, n_cells + 1)))
+    roots, _ = _roots(profile, alpha - tol, alpha + tol, DEFAULT_SCAN_STEP)
     nearest = min(roots, key=lambda rv: abs(rv.alpha - alpha), default=None)
-    if nearest is not None and abs(nearest.alpha - alpha) <= tol:
-        return Resonant(nearest.theta)
-    return NonResonant()
+    return NonResonant() if nearest is None else Resonant(nearest.theta)

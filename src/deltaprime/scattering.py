@@ -26,9 +26,6 @@ LIMIT = "limit"
 FINITE = "finite-eps"
 ASYMPTOTIC = "asymptotic"
 
-#: soft validity bound for the asymptotic expansion (documented, not enforced)
-ASYMPTOTIC_KAPPA_MAX = 0.1
-
 
 @dataclass(frozen=True)
 class ScatteringCoefficients:

@@ -109,6 +109,15 @@ def test_scatter_limit_loose_tol_transmits(capsys):
     assert json.loads(out)["T2"] == pytest.approx(0.00132, rel=0.01)
 
 
+def test_scatter_limit_takes_the_nearest_root(capsys):
+    # [-0.5, 19.5] holds alpha = 0 and the root 18.1746, which is nearer 9.5
+    code, out, _ = invoke(
+        capsys, "scatter-limit", "--builtin", "seba-quadratic", "--alpha", "9.5", "--tol", "10",
+    )
+    assert code == 0
+    assert "T2=0.00132444 " in out
+
+
 def test_mirror_flag_reflects_profile(capsys):
     code, out, _ = invoke(capsys, "moments", "--builtin", "step", "--mirror", "--format", "csv")
     assert code == 0
@@ -215,8 +224,16 @@ def test_shoot_csv_matches_closed_form(capsys):
              "--eps-list", "0.2,x"),
             "expected comma-separated numbers",
         ),
+        # g(1e-4) ~ 1e-8 is small, but no root lies within 1e-8 of 1e-4
+        (("theta", "--builtin", "seba-quadratic", "--alpha", "1e-4", "--tol", "1e-8"),
+         "has no root within"),
+        # the zero profile's only root is alpha = 0
+        (("theta", "--builtin", "zero", "--alpha", "5"), "has no root within"),
+        # refused before a 4e15-cell scan grid is built
+        (("resonances", "--builtin", "seba-quadratic", "--alpha-min=-1e15", "--alpha-max=1e15"),
+         "exceeds"),
     ],
-    ids=["finite-float", "eps-list"],
+    ids=["finite-float", "eps-list", "theta-near-zero", "theta-zero-profile", "oversize-scan"],
 )
 def test_argument_rejections_exit_2(capsys, argv, message):
     code, out, err = invoke(capsys, *argv)

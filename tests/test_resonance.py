@@ -1,7 +1,9 @@
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deltaprime import (
     FundamentalData,
@@ -112,6 +114,8 @@ def test_lagrange_identity_for_returned_values(seba, step):
         {"alpha_min": float("nan"), "alpha_max": 1.0},
         {"scan_step": 0.0},
         {"scan_step": -1.0},
+        # a scan of more than shooting.BLOCK_ELEMENTS cells is refused before its grid is built
+        {"alpha_min": -1e15, "alpha_max": 1e15},
     ],
 )
 def test_find_resonances_preconditions(seba, kwargs):
@@ -164,7 +168,7 @@ def test_brackets_from_scan_skips_the_dip_around_alpha_zero():
 
 
 def test_coupling_at_zero(seba, step, zero):
-    # a shoot at alpha = 0 is exactly u1 = 1, du1 = 0, so the root gate accepts it
+    # alpha = 0 is classify's analytic root, and a shoot there is exactly u1 = 1
     for profile in (seba, step, zero):
         assert coupling(profile, 0.0) == 1.0
 
@@ -185,7 +189,7 @@ def test_coupling_rejects_nonresonant(seba):
 
 @pytest.mark.parametrize("alpha", [5e-4, -3e-4])
 def test_coupling_accepts_alpha_within_tol_of_zero(seba, step, alpha):
-    # |alpha| <= tol: classify's root alpha = 0, which coupling now shares
+    # |alpha| <= tol: classify's root alpha = 0, which coupling shares
     for profile in (seba, step):
         assert classify(profile, alpha, 1e-3) == Resonant(1.0)
         assert coupling(profile, alpha, 1e-3) == shoot(profile, alpha).u1
@@ -208,6 +212,42 @@ def _generated_pc(seed):
             break
     values = (values - m0 / 2.0) / -m1
     return from_segments([(a, b, (float(v),)) for a, b, v in zip(edges[:-1], edges[1:], values)])
+
+
+@lru_cache(maxsize=None)
+def _generated_roots(seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NearTangencyWarning)
+        return [rv.alpha for rv in find_resonances(_generated_pc(seed), -60.0, 60.0)]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 40),
+    alpha=st.floats(-60.0, 60.0),
+    snap=st.none() | st.integers(0, 100),
+    tol=st.sampled_from([1e-8, 1e-3, 0.3, 2.0]),
+)
+def test_classify_and_coupling_decide_as_find_resonances(seed, alpha, snap, tol):
+    # one decision: classify is the root of find_resonances on [alpha - tol,
+    # alpha + tol] nearest alpha, and coupling accepts exactly when it does;
+    # snap moves alpha to a root's 6-digit rounding
+    profile = _generated_pc(seed)
+    if snap is not None:
+        roots = _generated_roots(seed)
+        alpha = float(f"{roots[snap % len(roots)]:.6g}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NearTangencyWarning)
+        found = find_resonances(profile, alpha - tol, alpha + tol)
+    nearest = min(found, key=lambda rv: abs(rv.alpha - alpha), default=None)
+    c = classify(profile, alpha, tol)
+    if nearest is None:
+        assert c == NonResonant()
+        with pytest.raises(NotResonantError):
+            coupling(profile, alpha, tol)
+    else:
+        assert c == Resonant(nearest.theta)
+        assert coupling(profile, alpha, tol) == shoot(profile, alpha).u1
 
 
 @pytest.fixture(scope="module", params=range(4))
@@ -278,6 +318,15 @@ def test_classify_preconditions(seba):
         classify(seba, 1.0, 0.0)
     with pytest.raises(InvalidInputError):
         classify(seba, float("inf"), 1e-8)
+    with pytest.raises(InvalidInputError, match="exceeds"):
+        classify(seba, 5.0, 1e15)
+
+
+def test_classify_takes_the_nearest_root_not_alpha_zero(seba):
+    # [-0.5, 19.5] holds alpha = 0 and the root 18.1746, which is nearer 9.5
+    roots = find_resonances(seba, -0.5, 19.5)
+    assert [round(rv.alpha, 4) for rv in roots] == [0.0, 18.1746]
+    assert classify(seba, 9.5, 10.0) == Resonant(roots[1].theta)
 
 
 def test_find_resonances_deterministic(seba):
@@ -388,7 +437,8 @@ def test_near_tangency_warns_only_from_find_resonances(seba, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", NearTangencyWarning)
         assert classify(seba, 1.0, 1e-3) == NonResonant()
-        coupling(seba, 1.0)
+        with pytest.raises(NotResonantError):
+            coupling(seba, 1.0)
 
 
 def test_alpha_zero_reported_once_when_g_crosses_there():
