@@ -30,7 +30,7 @@ from .errors import (
     NumericalFailureError,
 )
 from .profiles import PotentialProfile
-from .shooting import BLOCK_ELEMENTS, shoot, shoot_batch
+from .shooting import shoot, shoot_batch
 
 #: refined-root residual must satisfy |g(alpha)| <= RESIDUAL_SCALE * max(1, |u1|, |dv1|)
 RESIDUAL_SCALE = 1e-8
@@ -38,6 +38,7 @@ RESIDUAL_SCALE = 1e-8
 DEFAULT_SCAN_STEP = 0.5
 DEFAULT_ALPHA_MIN = -200.0
 DEFAULT_ALPHA_MAX = 200.0
+MAX_SCAN_CELLS = 2**22  # a scan holds ~230 bytes per cell: about 1 GB at this limit
 
 
 @dataclass(frozen=True)
@@ -131,33 +132,34 @@ def _roots(profile, lo, hi, step):
     """The roots of g in [lo, hi]: the one search of ``find_resonances`` and ``classify``.
 
     g is scanned by one ``shoot_batch`` call on max(1, round((hi - lo)/step))
-    uniform cells, skipping |alpha| < step/2, where g has a tangential zero
-    for delta-prime-like profiles, and each sign change is refined by Brent's
-    method.  alpha = 0 (resonant for every profile, theta = 1) is inserted
-    analytically when lo <= 0 <= hi, and a refined bracket that closes on it
-    is that root, so the zero profile has the single root alpha = 0.  A scan
-    of more than BLOCK_ELEMENTS cells raises InvalidInputError before its
-    grid is built.
+    uniform cells, and each sign change is refined by Brent's method.  A
+    window holding 0 gets alpha = 0 (resonant for every profile, theta = 1)
+    analytically, skips |alpha| < step/2 (g's zero there is tangential for
+    delta-prime-like profiles) and drops a bracket closing on 0, so the zero
+    profile has the single root 0; a root within step/2 of 0 is found only by
+    a window without 0.  A scan of more than MAX_SCAN_CELLS cells raises
+    InvalidInputError before its grid is built.
 
     Returns (roots, dips): a lazy iterator of the roots in grid order,
     alpha = 0 last, and each dip's (alpha, g, lo, hi), lo and hi its scan
     neighbours, known before any refinement runs or raises.  Brackets are
     disjoint and their ends are not zeros, so the roots are distinct zeros.
     """
-    if (hi - lo) / step > BLOCK_ELEMENTS:
+    if (hi - lo) / step > MAX_SCAN_CELLS:
         raise InvalidInputError(
             f"resonance scan of [{lo}, {hi}] in steps of {step} exceeds "
-            f"{BLOCK_ELEMENTS} cells; narrow the window or widen the step"
+            f"{MAX_SCAN_CELLS} cells; narrow the window or widen the step"
         )
     n_cells = max(1, int(round((hi - lo) / step)))
-    grid = [a for a in np.linspace(lo, hi, n_cells + 1) if abs(a) >= step / 2.0]
+    has_zero = lo <= 0.0 <= hi
+    grid = [a for a in np.linspace(lo, hi, n_cells + 1) if not has_zero or abs(a) >= step / 2.0]
     gvals = _scan_values(profile, grid)
     brackets, dips = _brackets_from_scan(grid, gvals)
     refine = lambda i, j: _refine_and_package(profile, grid[i], grid[j], gvals[i], gvals[j])
     dips = [(grid[i], gvals[i], grid[i - 1], grid[i + 1]) for i in dips]
     refined = (refine(i, j) for i, j in brackets)
     roots = (rv for rv in refined if not rv.bracket[0] <= 0.0 <= rv.bracket[1])
-    zero = [ResonantValue(0.0, 1.0, 0.0, (-step / 2.0, step / 2.0))] if lo <= 0.0 <= hi else []
+    zero = [ResonantValue(0.0, 1.0, 0.0, (-step / 2.0, step / 2.0))] if has_zero else []
     return itertools.chain(roots, zero), dips
 
 
@@ -175,8 +177,9 @@ def find_resonances(
     (Laguerre-Polya, see ``_brackets_from_scan``), so a dip in |g| without a
     sign change proves at least two roots between the dip's scan neighbours
     and raises a NearTangencyWarning; a root pair that shows no dip is missed
-    silently.  alpha = 0 is inserted analytically and not scanned within
-    |alpha| < scan_step/2; the zero profile reports only alpha = 0.
+    silently.  alpha = 0 is inserted analytically, and a window that holds
+    it is not scanned within |alpha| < scan_step/2; the zero profile reports
+    only alpha = 0.
     """
     if not (np.isfinite(alpha_min) and np.isfinite(alpha_max)):
         raise InvalidInputError("find_resonances: alpha_min and alpha_max must be finite")
@@ -207,11 +210,9 @@ def coupling(profile: PotentialProfile, alpha: float, alpha_tol: float = 1e-3) -
     published to a few decimals are accepted, and the zero profile only near
     alpha = 0; NotResonantError is raised otherwise.
 
-    The returned theta is u1 at the given alpha, not at the refined root.
-    Where |theta| < 1 that entry is ill-conditioned in alpha: the benchmark's
-    generated profile d1-0 at alpha = -58.8985 gives -0.0714 against the
-    root's -0.0611, and step at -178.2697 gives 0.491 against 2.25e-6.
-    ``classify`` returns the root's theta.
+    The returned theta is u1 at the given alpha, not at the refined root,
+    and is ill-conditioned in alpha where |theta| < 1: step at -178.2697
+    gives 0.491 against the root's 2.25e-6.  ``classify`` returns the root's.
     """
     if not np.isfinite(alpha):
         raise InvalidInputError("coupling: alpha must be finite")
@@ -225,12 +226,10 @@ def coupling(profile: PotentialProfile, alpha: float, alpha_tol: float = 1e-3) -
 def classify(profile: PotentialProfile, alpha: float, tol: float = 1e-8) -> Classification:
     """Resonant(theta) when a root of g lies in [alpha - tol, alpha + tol].
 
-    The roots are exactly those ``find_resonances(profile, alpha - tol,
-    alpha + tol)`` returns, from the same search at the default scan step,
-    so the zero profile is resonant only where the window holds alpha = 0.
-    theta is taken at the refined root nearest alpha (it parameterises the
-    connected limit operator); NonResonant means the limit is the Dirichlet
-    decoupled pair.
+    The roots are exactly those of ``find_resonances(profile, alpha - tol,
+    alpha + tol)``, so the zero profile is resonant only where the window
+    holds alpha = 0.  theta, at the root nearest alpha, parameterises the
+    connected limit operator; NonResonant means the Dirichlet decoupled pair.
     """
     if not np.isfinite(alpha):
         raise InvalidInputError("classify: alpha must be finite")

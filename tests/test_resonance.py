@@ -3,7 +3,6 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from deltaprime import (
     FundamentalData,
@@ -221,13 +220,21 @@ def _generated_roots(seed):
         return [rv.alpha for rv in find_resonances(_generated_pc(seed), -60.0, 60.0)]
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(
-    seed=st.integers(0, 40),
-    alpha=st.floats(-60.0, 60.0),
-    snap=st.none() | st.integers(0, 100),
-    tol=st.sampled_from([1e-8, 1e-3, 0.3, 2.0]),
-)
+def _decision_cases(n=60):
+    # (seed, alpha, snap, tol): a fixed draw over seeds 0-40, alpha in
+    # [-60, 60] or snapped to a root, and four tolerances, after the window
+    # edges and a point where |g| is tiny but no root lies within tol
+    rng = np.random.default_rng(0)
+    cases = [(0, 6.1e-5, None, 1e-8), (0, 0.0, None, 1e-3), (7, 60.0, None, 2.0),
+             (11, -60.0, None, 0.3), (3, 1e-300, None, 1e-8)]
+    while len(cases) < n:
+        snap = int(rng.integers(0, 100)) if rng.random() < 0.5 else None
+        tol = float(rng.choice([1e-8, 1e-3, 0.3, 2.0]))
+        cases.append((int(rng.integers(0, 41)), float(rng.uniform(-60.0, 60.0)), snap, tol))
+    return cases
+
+
+@pytest.mark.parametrize("seed, alpha, snap, tol", _decision_cases())
 def test_classify_and_coupling_decide_as_find_resonances(seed, alpha, snap, tol):
     # one decision: classify is the root of find_resonances on [alpha - tol,
     # alpha + tol] nearest alpha, and coupling accepts exactly when it does;
@@ -320,6 +327,29 @@ def test_classify_preconditions(seba):
         classify(seba, float("inf"), 1e-8)
     with pytest.raises(InvalidInputError, match="exceeds"):
         classify(seba, 5.0, 1e15)
+
+
+def test_scan_size_limit_admits_large_windows(seba, monkeypatch):
+    # a flat fake g keeps the scan cheap: 160,000 and 400,000 cells are
+    # scanned, and one cell more than MAX_SCAN_CELLS is refused
+    limit = deltaprime.resonance.MAX_SCAN_CELLS
+    monkeypatch.setattr(deltaprime.resonance, "_scan_values", lambda p, alphas: [1.0] * len(alphas))
+    assert [rv.alpha for rv in find_resonances(seba, -40000.0, 40000.0)] == [0.0]
+    assert classify(seba, 0.0, 1e5) == Resonant(1.0)
+    with pytest.raises(InvalidInputError, match="exceeds"):
+        find_resonances(seba, 0.0, 1.0, 1.0 / (limit + 1))
+
+
+def test_root_within_half_a_scan_step_of_zero():
+    # seba scaled by 100 has roots +-0.181746, inside |alpha| < DEFAULT_SCAN_STEP/2;
+    # a window without 0 scans them, one holding 0 skips that zone
+    seba100 = from_segments([(-1.0, 0.0, (0.0, -600.0, -600.0)), (0.0, 1.0, (0.0, -600.0, 600.0))])
+    for alpha in (0.181746, -0.181746):
+        (root,) = find_resonances(seba100, alpha - 1e-3, alpha + 1e-3)
+        assert root.alpha == pytest.approx(alpha, abs=1e-6)
+        assert classify(seba100, alpha, 1e-3) == Resonant(root.theta)
+        assert coupling(seba100, alpha, 1e-3) == shoot(seba100, alpha).u1
+    assert [rv.alpha for rv in find_resonances(seba100, -0.2, 0.2)] == [0.0]
 
 
 def test_classify_takes_the_nearest_root_not_alpha_zero(seba):
