@@ -1,9 +1,13 @@
 """Compactly supported potential profiles on [-1, 1].
 
-A profile is either piecewise polynomial (exact segment-wise integration)
-or sampled (linear interpolation between nodes).  Profiles evaluate to 0
-outside their support and are immutable once constructed, so they can be
-shared freely across threads.
+A profile is either piecewise polynomial or sampled (linear interpolation
+between nodes).  Its one representation for computing is its cell table
+(``Cells``), built on first use: ``eval``, ``moments``, ``is_zero`` and the
+propagator read only that, so no other module decodes the two formats.
+``kind`` with ``segments`` or ``xi`` and ``psi`` stay as constructed and
+define equality, the mirror profile and the JSON format below.  Profiles
+evaluate to 0 outside their support and are immutable, cell table
+included, so they can be shared freely across threads.
 
 The JSON file format is::
 
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,8 +60,43 @@ class Moments:
         return abs(self.m0) <= tol and abs(self.m1 + 1.0) <= tol
 
 
+def _horner(coeffs, t):
+    """sum(coeffs[..., k] * t**k), in numpy ``polyval``'s order of operations."""
+    val = coeffs[..., -1] + t * 0
+    for k in range(coeffs.shape[-1] - 2, -1, -1):
+        val = coeffs[..., k] + val * t
+    return val
+
+
+@dataclass(frozen=True)
+class Cells:
+    """The cells of [-1, 1], on each of which psi is one polynomial.
+
+    Cell i is [edges[i], edges[i+1]), with psi = sum(coeffs[i, k] * t**k) in
+    t = x - origin[i].  A segment has origin 0 and its coefficients, padded
+    with zeros; a node interval has its left node and (psi_i, slope_i), the
+    form ``np.interp`` evaluates; the stretches outside the support are 0.
+    ``constant`` is psi on a cell where it is constant and NaN elsewhere,
+    ``peak`` a 9-point estimate of max|psi| per cell, and ``end`` psi at the
+    closed right end of the support.
+    """
+
+    edges: np.ndarray
+    origin: np.ndarray
+    coeffs: np.ndarray
+    constant: np.ndarray
+    peak: np.ndarray
+    end: float
+
+    def values(self, rows, x):
+        """psi at x on the cells ``rows`` (the two broadcast together)."""
+        return _horner(self.coeffs[rows], x - self.origin[rows])
+
+
 @dataclass(frozen=True)
 class PotentialProfile:
+    """A profile as constructed, and its cell table ``cells`` (module docstring)."""
+
     kind: str
     segments: tuple[Segment, ...] = ()
     xi: np.ndarray | None = None
@@ -68,46 +108,49 @@ class PotentialProfile:
             return (self.segments[0].a, self.segments[-1].b)
         return (float(self.xi[0]), float(self.xi[-1]))
 
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        """Abscissae where the profile definition changes (segment edges)."""
+    @cached_property
+    def cells(self) -> Cells:
+        """The cell table of [-1, 1], built on first use."""
         if self.kind == PIECEWISE:
-            pts = [self.segments[0].a]
-            pts.extend(s.b for s in self.segments)
-            return tuple(pts)
-        return (float(self.xi[0]), float(self.xi[-1]))
+            segs = self.segments
+            degree = max(len(s.coeffs) for s in segs)
+            coeffs = np.array([s.coeffs + (0.0,) * (degree - len(s.coeffs)) for s in segs])
+            edges, origin = np.array([s.a for s in segs] + [segs[-1].b]), np.zeros(len(segs))
+            varying = np.array([any(s.coeffs[1:]) for s in segs])
+            end = _horner(coeffs[-1], segs[-1].b)
+        else:
+            edges, origin, end = self.xi, self.xi[:-1], self.psi[-1]
+            coeffs = np.column_stack((self.psi[:-1], np.diff(self.psi) / np.diff(self.xi)))
+            varying = self.psi[:-1] != self.psi[1:]
+        pad = (int(edges[0] > -1.0), int(edges[-1] < 1.0))  # zero cells out to -1 and 1
+        edges = np.concatenate(([-1.0] * pad[0], edges, [1.0] * pad[1]))
+        origin, coeffs = np.pad(origin, pad), np.pad(coeffs, (pad, (0, 0)))
+        constant = np.where(np.pad(varying, pad), np.nan, coeffs[:, 0])
+        nine = np.linspace(edges[:-1], edges[1:], 9, axis=-1)
+        peak = np.max(np.abs(_horner(coeffs[:, None], nine - origin[:, None])), axis=-1)
+        for arr in (edges, origin, coeffs, constant, peak):
+            arr.flags.writeable = False
+        return Cells(edges, origin, coeffs, constant, peak, float(end))
 
     @property
     def is_zero(self) -> bool:
-        if self.kind == PIECEWISE:
-            return all(all(c == 0.0 for c in s.coeffs) for s in self.segments)
-        return bool(np.all(self.psi == 0.0))
+        return bool(np.all(self.cells.constant == 0.0))
 
     def eval(self, x):
-        """Evaluate the profile at x (scalar or ndarray); 0 outside support."""
+        """Evaluate the profile at x (scalar or ndarray); 0 outside support.
+
+        Cells are half-open, and the support's right end takes psi's value
+        there, so a sampled profile returns psi exactly at every node.
+        """
         arr = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("xi: evaluation point must be finite")
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        out = np.zeros_like(arr)
+        cells = self.cells
+        rows = np.clip(np.searchsorted(cells.edges, arr, side="right") - 1, 0, cells.origin.size - 1)
         lo, hi = self.support
-        inside = (arr >= lo) & (arr <= hi)
-        if self.kind == PIECEWISE:
-            # half-open segments [a, b); the last segment is closed
-            edges = np.array([s.b for s in self.segments[:-1]])
-            idx = np.searchsorted(edges, arr[inside], side="right")
-            vals = np.empty(idx.shape)
-            for j, seg in enumerate(self.segments):
-                mask = idx == j
-                if np.any(mask):
-                    vals[mask] = np.polynomial.polynomial.polyval(
-                        arr[inside][mask], np.asarray(seg.coeffs)
-                    )
-            out[inside] = vals
-        else:
-            out[inside] = np.interp(arr[inside], self.xi, self.psi)
-        return float(out[0]) if scalar else out
+        out = np.where(arr == hi, cells.end, cells.values(rows, arr))
+        out = np.where((arr >= lo) & (arr <= hi), out, 0.0)
+        return float(out) if out.ndim == 0 else out
 
     def reflected(self) -> "PotentialProfile":
         """The mirror profile xi -> psi(-xi)."""
@@ -211,32 +254,21 @@ def builtin_profile(name: str) -> PotentialProfile:
 def moments(profile: PotentialProfile) -> Moments:
     """Exact zeroth and first moments.
 
-    Piecewise-polynomial segments are integrated symbolically via monomial
-    antiderivatives; sampled profiles integrate the linear interpolant exactly.
+    Each cell's polynomial in t = x - origin is integrated through monomial
+    antiderivatives, in Python floats; x*psi adds origin times the
+    zeroth-moment term.
     """
-    if profile.kind == PIECEWISE:
-        m0 = 0.0
-        m1 = 0.0
-        for seg in profile.segments:
-            for j, c in enumerate(seg.coeffs):
-                if c == 0.0:
-                    continue
-                m0 += c * (seg.b ** (j + 1) - seg.a ** (j + 1)) / (j + 1)
-                m1 += c * (seg.b ** (j + 2) - seg.a ** (j + 2)) / (j + 2)
-        return Moments(m0, m1)
-    xi = profile.xi
-    psi = profile.psi
-    dx = np.diff(xi)
-    m0 = float(np.sum(0.5 * (psi[:-1] + psi[1:]) * dx))
-    # per-cell psi(t) = p0 + s*(t - x0); integrate t*psi(t) exactly
-    s = np.diff(psi) / dx
-    x0, x1 = xi[:-1], xi[1:]
-    m1 = float(
-        np.sum(
-            psi[:-1] * (x1**2 - x0**2) / 2.0
-            + s * ((x1**3 - x0**3) / 3.0 - x0 * (x1**2 - x0**2) / 2.0)
-        )
-    )
+    cells = profile.cells
+    edges = cells.edges.tolist()
+    m0 = m1 = 0.0
+    for a, b, o, coeffs in zip(edges, edges[1:], cells.origin.tolist(), cells.coeffs.tolist()):
+        ta, tb = a - o, b - o
+        for j, c in enumerate(coeffs):
+            if c == 0.0:
+                continue
+            part = c * (tb ** (j + 1) - ta ** (j + 1)) / (j + 1)
+            m0 += part
+            m1 += c * (tb ** (j + 2) - ta ** (j + 2)) / (j + 2) + o * part
     return Moments(m0, m1)
 
 

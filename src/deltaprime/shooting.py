@@ -7,11 +7,11 @@ nodes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009), each the closed-form
 exponential of a traceless 2x2 matrix, so every step is unimodular.  Step
 matrices form (alpha, step) arrays that are multiplied pairwise in a tree.
 
-[-1, 1] is split at the profile breakpoints.  A constant piece is one exact
-step.  Every other piece is split into base cells (a polynomial segment is
-one cell; a sampled profile has one per node interval, on which psi is
-linear), and each cell into n steps, n a power of two of at least
-START_RESOLUTION * width * sqrt(max|alpha*psi - kappa2|).
+[-1, 1] is split into the cells of the profile's cell table, on each of
+which psi is one polynomial.  A constant cell is one exact step.  Every
+other cell is cut into n equal steps, n a power of two of at least
+START_RESOLUTION * width * sqrt(|alpha|*peak + |kappa2|) for every varying
+cell, with width and peak (an estimate of max|psi|) the cell's own.
 
 With P_n the transfer matrix at n steps per cell, R_n = P_n + (P_n - P_{n/2})/15
 is its Richardson extrapolation and |R_2n - R_n|/63 the error estimate of
@@ -28,15 +28,12 @@ coefficients) consumes only the boundary values returned here.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .errors import InvalidInputError, NumericalFailureError
-from .profiles import PIECEWISE, PotentialProfile
+from .profiles import Cells, PotentialProfile
 
 # Step-doubling tolerances, chosen so the boundary data supports root
 # refinement in alpha down to ~1e-12 of bracket width.
@@ -46,8 +43,9 @@ ATOL = 1e-14
 #: steps across [-1, 1] beyond which a shoot fails instead of refining further
 MAX_STEPS = 2**16
 
-#: the first try has step * sqrt(max|alpha*psi - kappa2|) <= 1 / START_RESOLUTION;
-#: coarser steps would only add doublings, since the tight defaults fail there
+#: the first try has step * sqrt(|alpha|*peak + |kappa2|) <= 1 / START_RESOLUTION
+#: on every varying cell; coarser steps would only add doublings, since the
+#: tight defaults fail there
 START_RESOLUTION = 8.0
 
 #: alpha*step elements per block of step matrices; bounds memory of large batches
@@ -77,45 +75,6 @@ class FundamentalData:
     def rel_wronskian_defect(self) -> float:
         """|u1*dv1 - du1*v1 - 1| / max(1, |u1*dv1|)."""
         return self.wronskian_defect / max(1.0, abs(self.u1 * self.dv1))
-
-
-@dataclass(frozen=True)
-class _Piece:
-    """A stretch of [-1, 1] on which psi is smooth, with base cells at ``edges``.
-
-    ``constant`` is psi's value on a constant piece and None elsewhere;
-    there ``psi`` evaluates the profile and ``peak`` estimates max|psi|.
-    """
-
-    edges: np.ndarray
-    constant: float | None = None
-    psi: Callable | None = None
-    peak: float = 0.0
-
-
-def _pieces(profile: PotentialProfile) -> list[_Piece]:
-    """Split [-1, 1] at profile breakpoints."""
-    cuts = sorted({-1.0, 1.0, *(b for b in profile.breakpoints if -1.0 < b < 1.0)})
-    lo, hi = profile.support
-    pieces = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (a + b)
-        edges = np.array([a, b])
-        if mid < lo or mid > hi:
-            pieces.append(_Piece(edges, constant=0.0))
-        elif profile.kind == PIECEWISE:
-            coeffs = next(s for s in profile.segments if s.a <= mid <= s.b).coeffs
-            if not any(coeffs[1:]):
-                pieces.append(_Piece(edges, constant=coeffs[0]))
-                continue
-            psi = partial(polyval, c=np.array(coeffs))
-            peak = float(np.max(np.abs(psi(np.linspace(a, b, 9)))))
-            pieces.append(_Piece(edges, psi=psi, peak=peak))
-        else:
-            psi = partial(np.interp, xp=profile.xi, fp=profile.psi)
-            peak = float(np.max(np.abs(profile.psi)))
-            pieces.append(_Piece(profile.xi, psi=psi, peak=peak))
-    return pieces
 
 
 def _step_matrices(alphas, kappa2, h, psi1, psi2):
@@ -160,30 +119,33 @@ def _tree_product(m):
     return m[..., 0]
 
 
-def _grid(pieces, n: int):
+def _grid(cells: Cells, n: int):
     """Width and Gauss-node psi values (steps, 2) of every step across [-1, 1].
 
-    Each base cell of a smooth piece is cut into n equal steps; a constant
-    piece is one step.
+    Each varying cell is cut into n equal steps; a constant cell is one step.
     """
-    unit = (np.arange(n)[:, None] + _GAUSS) / n  # Gauss nodes of a unit cell
-    hs, nodes = [], []
-    for piece in pieces:
-        edges = piece.edges
-        widths = np.diff(edges)
-        if piece.constant is not None:
-            hs.append(widths)
-            nodes.append(np.full((1, 2), piece.constant))
-            continue
-        hs.append(np.repeat(widths / n, n))
-        x = edges[:-1, None, None] + widths[:, None, None] * unit
-        nodes.append(piece.psi(x.reshape(-1, 2)))
-    return np.concatenate(hs), np.concatenate(nodes)
+    varying = np.isnan(cells.constant)
+    counts = np.where(varying, n, 1)
+    widths = np.diff(cells.edges)
+    h = np.repeat(widths / counts, counts)
+    mixed = not varying.all()
+    # a slice when every cell varies: index gathers cost ~5% of a 1,001-node shoot
+    rows = np.flatnonzero(varying) if mixed else slice(None)
+    unit = ((np.arange(n)[:, None] + _GAUSS) / n).ravel()  # Gauss nodes of a unit cell
+    x = cells.edges[:-1][rows, None] + widths[rows, None] * unit
+    psi = cells.values((rows, None), x).reshape(-1, 2)
+    if mixed:
+        nodes = np.empty((h.size, 2))
+        on_varying = np.repeat(varying, counts)
+        nodes[on_varying] = psi
+        nodes[~on_varying] = cells.constant[~varying, None]
+        psi = nodes
+    return h, psi
 
 
-def _transfer_at(pieces, alphas, kappa2, n: int):
+def _transfer_at(cells: Cells, alphas, kappa2, n: int):
     """(2, 2, alpha) transfer matrices across [-1, 1] on the grid of ``_grid``."""
-    h, psi = _grid(pieces, n)
+    h, psi = _grid(cells, n)
     block = max(1, BLOCK_ELEMENTS // h.size)
     parts = [
         _tree_product(_step_matrices(alphas[i : i + block], kappa2, h, psi[:, 0], psi[:, 1]))
@@ -200,20 +162,22 @@ def _transfer(profile: PotentialProfile, alphas, kappa2):
     """
     if not (np.all(np.isfinite(alphas)) and np.isfinite(kappa2)):
         raise NumericalFailureError("shoot: alpha and kappa2 must be finite")
-    pieces = _pieces(profile)
-    smooth = [pc for pc in pieces if pc.constant is None]
+    cells = profile.cells
+    varying = np.isnan(cells.constant)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if not smooth:
-            out = _transfer_at(pieces, alphas, kappa2, 1)
+        if not varying.any():
+            out = _transfer_at(cells, alphas, kappa2, 1)
             if not np.all(np.isfinite(out)):
                 raise NumericalFailureError(f"shoot: non-finite state at kappa2={kappa2}")
             return out
-        resolution = START_RESOLUTION * np.max(
-            [np.max(np.diff(pc.edges)) * np.sqrt(np.abs(alphas) * pc.peak + abs(kappa2))
-             for pc in smooth],
-            axis=0,
-        )
-        ncells = sum(pc.edges.size - 1 for pc in smooth)
+        widths = np.diff(cells.edges)[varying, None]
+        peak = cells.peak[varying, None]
+        ncells = widths.size
+        block = max(1, BLOCK_ELEMENTS // ncells)  # bounds the (cell, alpha) temporaries
+        resolution = START_RESOLUTION * np.concatenate([
+            np.max(widths * np.sqrt(np.abs(alphas[i : i + block]) * peak + abs(kappa2)), axis=0)
+            for i in range(0, alphas.size, block)
+        ])
         # capped exponent: anything past MAX_STEPS fails before it is built
         exponent = np.ceil(np.log2(np.clip(resolution, 1.0, 2.0 * MAX_STEPS)))
         start = 2 ** exponent.astype(np.int64)
@@ -232,7 +196,7 @@ def _transfer(profile: PotentialProfile, alphas, kappa2):
                         f"shoot: more than {MAX_STEPS} steps needed at alpha={alphas[idx[0]]}"
                         + floor
                     )
-                p_n = _transfer_at(pieces, alphas[idx], kappa2, int(n))
+                p_n = _transfer_at(cells, alphas[idx], kappa2, int(n))
                 r_n = None if p_prev is None else p_n + (p_n - p_prev) / 15.0
                 if r_prev is not None:
                     scale = np.max(np.abs(r_n), axis=(0, 1))

@@ -8,7 +8,8 @@ from deltaprime.cli import render, run
 
 from oracles import step_boundary_data
 
-GOLDEN = Path(__file__).parent / "data" / "table6_golden.txt"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "table6_golden.txt"
 
 
 def invoke(capsys, *argv):
@@ -39,6 +40,16 @@ def test_table6_matches_golden(capsys):
     code, out, _ = invoke(capsys, "table6")
     assert code == 0
     assert out == GOLDEN.read_text()
+
+
+def test_sampled_resonances_match_golden(capsys):
+    # seba-quadratic sampled at 201 uniform nodes pins the sampled path end to end
+    code, out, _ = invoke(
+        capsys, "resonances", "--profile", str(DATA / "seba_sampled_201.json"),
+        "--alpha-min", "0", "--alpha-max", "60",
+    )
+    assert code == 0
+    assert out == (DATA / "seba_sampled_201_resonances_golden.txt").read_text()
 
 
 def test_byte_identical_reruns(capsys):

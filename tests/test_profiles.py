@@ -202,3 +202,111 @@ def test_profiles_are_immutable(seba):
     sampled = from_samples([0.0, 1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         sampled.xi[0] = 5.0
+
+
+def _random_sampled(rng, lo=-1.0, hi=1.0):
+    nodes = int(rng.integers(2, 40))
+    xi = np.sort(rng.uniform(lo, hi, nodes))
+    return from_samples(xi, rng.normal(size=nodes))
+
+
+def test_sampled_eval_is_np_interp_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        prof = _random_sampled(rng)
+        x = rng.uniform(prof.xi[0], prof.xi[-1], 50)
+        got = prof.eval(x)
+        assert got.tobytes() == np.interp(x, prof.xi, prof.psi).tobytes()
+
+
+def test_sampled_eval_is_exact_at_every_node():
+    # the last node closes the support: it takes psi[-1], not the last
+    # cell's line evaluated there, which can miss it by one ulp
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        prof = _random_sampled(rng)
+        assert prof.eval(prof.xi).tobytes() == prof.psi.tobytes()
+        assert prof.eval(float(prof.xi[-1])) == prof.psi[-1]
+
+
+def test_piecewise_eval_is_polyval_bit_for_bit():
+    polyval = np.polynomial.polynomial.polyval
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        pieces = int(rng.integers(1, 5))
+        edges = np.sort(rng.uniform(-1.0, 1.0, pieces + 1))
+        segs = [
+            (a, b, tuple(rng.normal(size=int(rng.integers(1, 4)))))
+            for a, b in zip(edges[:-1], edges[1:])
+        ]
+        prof = from_segments(segs)
+        for a, b, coeffs in segs:
+            # each left edge, interior points and, on the last segment, the closed right end
+            x = np.concatenate(([a], rng.uniform(a, b, 20), [b] if b == edges[-1] else []))
+            assert prof.eval(x).tobytes() == polyval(x, np.asarray(coeffs)).tobytes()
+
+
+def test_eval_is_zero_outside_support():
+    rng = np.random.default_rng(14)
+    inside = from_segments([(-0.6, -0.1, (0.5, 2.0, -3.0)), (-0.1, 0.7, (1.0, -4.0))])
+    for prof in (inside, from_samples([-0.6, 0.1, 0.7], [1.0, -2.0, 3.0]), _random_sampled(rng)):
+        lo, hi = prof.support
+        x = np.concatenate((rng.uniform(-3.0, lo, 20), rng.uniform(hi, 3.0, 20)))
+        x = x[(x < lo) | (x > hi)]
+        np.testing.assert_array_equal(prof.eval(x), 0.0)
+        assert prof.eval(np.nextafter(lo, -2.0)) == 0.0
+        assert prof.eval(np.nextafter(hi, 2.0)) == 0.0
+
+
+def test_is_zero_reads_every_cell(zero, step):
+    assert zero.is_zero
+    assert from_samples([-0.5, 0.5], [0.0, 0.0]).is_zero
+    assert not step.is_zero
+    assert not from_samples([-0.5, 0.0, 0.5], [0.0, 0.0, 1e-300]).is_zero
+    assert not from_segments([(-1.0, 1.0, (0.0, 0.0, 1.0))]).is_zero
+
+
+def test_sampled_moments_match_the_same_piecewise_linear_profile():
+    # non-uniform nodes with gaps within a factor 4 of each other, so the
+    # segments' global coefficients p - s*a lose no digits to steep slopes
+    rng = np.random.default_rng(15)
+    for _ in range(50):
+        gaps = rng.uniform(0.5, 2.0, int(rng.integers(1, 40)))
+        xi = np.minimum(-1.0 + 2.0 * np.concatenate(([0.0], np.cumsum(gaps))) / gaps.sum(), 1.0)
+        psi = rng.uniform(-2.0, 2.0, xi.size)
+        prof = from_samples(xi, psi)
+        slope = np.diff(psi) / np.diff(xi)
+        linear = from_segments(
+            (a, b, (p - s * a, s)) for a, b, p, s in zip(xi[:-1], xi[1:], psi[:-1], slope)
+        )
+        got, want = moments(prof), moments(linear)
+        assert abs(got.m0 - want.m0) <= 1e-14
+        assert abs(got.m1 - want.m1) <= 1e-14
+
+
+def _segment_moments(segments):
+    """Segment moments in one fixed order of Python-float operations."""
+    m0 = m1 = 0.0
+    for a, b, coeffs in segments:
+        for j, c in enumerate(coeffs):
+            if c == 0.0:
+                continue
+            m0 += c * (b ** (j + 1) - a ** (j + 1)) / (j + 1)
+            m1 += c * (b ** (j + 2) - a ** (j + 2)) / (j + 2)
+    return m0, m1
+
+
+def test_segment_moments_keep_their_order_of_operations(seba, step):
+    rng = np.random.default_rng(16)
+    cases = [seba, step]
+    for _ in range(100):
+        pieces = int(rng.integers(1, 5))
+        edges = np.sort(rng.uniform(-1.0, 1.0, pieces + 1)).tolist()
+        cases.append(from_segments(
+            (a, b, tuple(rng.normal(size=int(rng.integers(1, 4))).tolist()))
+            for a, b in zip(edges[:-1], edges[1:])
+        ))
+    for prof in cases:
+        m = moments(prof)
+        want = _segment_moments((s.a, s.b, s.coeffs) for s in prof.segments)
+        assert (m.m0, m.m1) == want

@@ -150,16 +150,32 @@ def test_linear_profile_against_airy(kappa2):
 
 
 def test_constant_piece_costs_one_step(step, monkeypatch):
-    steps = []
+    widths = []
     build = shooting._step_matrices
 
     def counting(alphas, kappa2, h, psi1, psi2):
-        steps.append(h.size)
+        widths.append(h)
         return build(alphas, kappa2, h, psi1, psi2)
 
     monkeypatch.setattr(shooting, "_step_matrices", counting)
     shoot(step, 37.0, 1.0)
-    assert steps == [2]  # one step on each of the two constant pieces
+    assert [h.size for h in widths] == [2]  # one step on each of the two constant pieces
+
+    # equal adjacent samples make constant cells, and so do the zero stretches
+    # outside the support [-0.5, 0.5]; only the cell where psi = -4*xi varies
+    sampled = from_samples([-0.5, -0.25, 0.25, 0.5], [1.0, 1.0, -1.0, -1.0])
+    widths.clear()
+    fd = shoot(sampled, 37.0, 1.0)
+    assert len(widths) >= 3  # at least three doubling levels
+    for h in widths:
+        n = h.size - 4
+        np.testing.assert_array_equal(h[[0, 1, -2, -1]], [0.5, 0.25, 0.25, 0.5])
+        np.testing.assert_array_equal(h[2:-2], 0.5 / n)
+    same = from_segments([(-0.5, -0.25, (1.0,)), (-0.25, 0.25, (0.0, -4.0)), (0.25, 0.5, (-1.0,))])
+    want = shoot(same, 37.0, 1.0)
+    scale = max(abs(want.u1), abs(want.du1), abs(want.v1), abs(want.dv1))
+    for got, exact in zip((fd.u1, fd.du1, fd.v1, fd.dv1), (want.u1, want.du1, want.v1, want.dv1)):
+        assert abs(got - exact) <= 1e-12 * scale
 
 
 def test_step_cap_raises_instead_of_degrading(seba, monkeypatch):
