@@ -5,9 +5,9 @@ between nodes).  Its one representation for computing is its cell table
 (``Cells``), built on first use: ``eval``, ``moments``, ``is_zero`` and the
 propagator read only that, so no other module decodes the two formats.
 ``kind`` with ``segments`` or ``xi`` and ``psi`` stay as constructed and
-define equality, the mirror profile and the JSON format below.  Profiles
-evaluate to 0 outside their support and are immutable, cell table
-included, so they can be shared freely across threads.
+define equality and hash (samples by value), the mirror profile and the JSON
+format below.  Profiles evaluate to 0 outside their support and are
+immutable, cell table included, so they can be shared freely across threads.
 
 The JSON file format is::
 
@@ -101,6 +101,16 @@ class PotentialProfile:
     segments: tuple[Segment, ...] = ()
     xi: np.ndarray | None = None
     psi: np.ndarray | None = None
+
+    def _key(self):
+        samples = () if self.xi is None else (tuple(self.xi.tolist()), tuple(self.psi.tolist()))
+        return (self.kind, self.segments) + samples
+
+    def __eq__(self, other):  # samples compare by value
+        return isinstance(other, PotentialProfile) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def support(self) -> tuple[float, float]:

@@ -140,10 +140,9 @@ def _roots(profile, lo, hi, step):
     a window without 0.  A scan of more than MAX_SCAN_CELLS cells raises
     InvalidInputError before its grid is built.
 
-    Returns (roots, dips): a lazy iterator of the roots in grid order,
-    alpha = 0 last, and each dip's (alpha, g, lo, hi), lo and hi its scan
-    neighbours, known before any refinement runs or raises.  Brackets are
-    disjoint and their ends are not zeros, so the roots are distinct zeros.
+    Each dip warns before any refinement runs.  Returns a lazy iterator of
+    the roots in grid order, alpha = 0 last.  Brackets are disjoint and
+    their ends are not zeros, so the roots are distinct zeros.
     """
     if (hi - lo) / step > MAX_SCAN_CELLS:
         raise InvalidInputError(
@@ -155,12 +154,18 @@ def _roots(profile, lo, hi, step):
     grid = [a for a in np.linspace(lo, hi, n_cells + 1) if not has_zero or abs(a) >= step / 2.0]
     gvals = _scan_values(profile, grid)
     brackets, dips = _brackets_from_scan(grid, gvals)
+    for i in dips:
+        warnings.warn(
+            f"|g| dips to {gvals[i]:.3e} at alpha={grid[i]} without a sign change, so at least two "
+            f"roots lie in ({grid[i - 1]}, {grid[i + 1]}); a smaller scan_step resolves them",
+            NearTangencyWarning,
+            stacklevel=3,
+        )
     refine = lambda i, j: _refine_and_package(profile, grid[i], grid[j], gvals[i], gvals[j])
-    dips = [(grid[i], gvals[i], grid[i - 1], grid[i + 1]) for i in dips]
     refined = (refine(i, j) for i, j in brackets)
     roots = (rv for rv in refined if not rv.bracket[0] <= 0.0 <= rv.bracket[1])
     zero = [ResonantValue(0.0, 1.0, 0.0, (-step / 2.0, step / 2.0))] if has_zero else []
-    return itertools.chain(roots, zero), dips
+    return itertools.chain(roots, zero)
 
 
 def find_resonances(
@@ -190,15 +195,7 @@ def find_resonances(
     if not (np.isfinite(scan_step) and scan_step > 0):
         raise InvalidInputError(f"find_resonances: scan_step must be positive, got {scan_step}")
 
-    roots, dips = _roots(profile, alpha_min, alpha_max, scan_step)
-    for a, g, lo, hi in dips:
-        warnings.warn(
-            f"|g| dips to {g:.3e} at alpha={a} without a sign change, so at least two "
-            f"roots lie in ({lo}, {hi}); decrease scan_step to resolve them",
-            NearTangencyWarning,
-            stacklevel=2,
-        )
-    return sorted(roots, key=lambda rv: rv.alpha)
+    return sorted(_roots(profile, alpha_min, alpha_max, scan_step), key=lambda rv: rv.alpha)
 
 
 def coupling(profile: PotentialProfile, alpha: float, alpha_tol: float = 1e-3) -> float:
@@ -226,8 +223,8 @@ def coupling(profile: PotentialProfile, alpha: float, alpha_tol: float = 1e-3) -
 def classify(profile: PotentialProfile, alpha: float, tol: float = 1e-8) -> Classification:
     """Resonant(theta) when a root of g lies in [alpha - tol, alpha + tol].
 
-    The roots are exactly those of ``find_resonances(profile, alpha - tol,
-    alpha + tol)``, so the zero profile is resonant only where the window
+    The roots and warnings are those of ``find_resonances(profile, alpha -
+    tol, alpha + tol)``, so the zero profile is resonant only where the window
     holds alpha = 0.  theta, at the root nearest alpha, parameterises the
     connected limit operator; NonResonant means the Dirichlet decoupled pair.
     """
@@ -235,6 +232,6 @@ def classify(profile: PotentialProfile, alpha: float, tol: float = 1e-8) -> Clas
         raise InvalidInputError("classify: alpha must be finite")
     if not tol > 0:
         raise InvalidInputError(f"classify: tol must be positive, got {tol}")
-    roots, _ = _roots(profile, alpha - tol, alpha + tol, DEFAULT_SCAN_STEP)
+    roots = _roots(profile, alpha - tol, alpha + tol, DEFAULT_SCAN_STEP)
     nearest = min(roots, key=lambda rv: abs(rv.alpha - alpha), default=None)
     return NonResonant() if nearest is None else Resonant(nearest.theta)

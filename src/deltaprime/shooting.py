@@ -8,18 +8,20 @@ exponential of a traceless 2x2 matrix, so every step is unimodular.  Step
 matrices form (alpha, step) arrays that are multiplied pairwise in a tree.
 
 [-1, 1] is split into the cells of the profile's cell table, on each of
-which psi is one polynomial.  A constant cell is one exact step.  Every
-other cell is cut into n equal steps, n a power of two of at least
-START_RESOLUTION * width * sqrt(|alpha|*peak + |kappa2|) for every varying
-cell, with width and peak (an estimate of max|psi|) the cell's own.
+which psi is one polynomial.  A constant cell is one exact step, built once
+per shoot.  The varying cells of an alpha share one n: each is cut into n
+equal steps, n a power of two of at least START_RESOLUTION * width *
+sqrt(|alpha|*peak + |kappa2|) on every varying cell (peak estimates max|psi|).
 
-With P_n the transfer matrix at n steps per cell, R_n = P_n + (P_n - P_{n/2})/15
-is its Richardson extrapolation and |R_2n - R_n|/63 the error estimate of
-R_2n.  n doubles, per alpha, until that estimate is at most
-RTOL*max|R_2n| + ATOL; R_2n is returned.  More than MAX_STEPS steps, or a
-non-finite state, raises NumericalFailureError instead; past MAX_STEPS the
-message gives the last estimate and the bound it failed, since an estimate
-that stalls above the bound points at the rounding floor, not the step.
+With P_n a cell's transfer matrix at n steps, R_n = P_n + (P_n - P_{n/2})/15
+is its Richardson value.  n doubles, per alpha, until every varying cell has
+|R_2n - R_n|/63 <= RTOL*max|R_2n| + ATOL; the Richardson value of the
+product M of all cells is returned.  Every entry of M is then accurate to
+about RTOL times the product of the cells' scales, not RTOL*max|M|: where
+growth in one cell is followed by decay in another, a test on M alone would
+ask a cell for accuracy below its rounding floor.  More than MAX_STEPS
+steps, or a non-finite state, raises NumericalFailureError; past MAX_STEPS
+the message gives the worst cell's last estimate and the bound it failed.
 
 Everything downstream (resonance detection, the coupling ratio, scattering
 coefficients) consumes only the boundary values returned here.
@@ -48,7 +50,7 @@ MAX_STEPS = 2**16
 #: tight defaults fail there
 START_RESOLUTION = 8.0
 
-#: alpha*step elements per block of step matrices; bounds memory of large batches
+#: alpha*step matrices per block, and entries per (2, 2, alpha, cell) array: bounds memory
 BLOCK_ELEMENTS = 2**17
 
 _GAUSS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
@@ -108,110 +110,99 @@ def _matmul(left, right):
     return left[:, :1] * right[:1] + left[:, 1:] * right[1:]
 
 
-def _tree_product(m):
-    """Ordered product M[n-1] ... M[1] M[0] along the last axis, pairwise."""
-    while m.shape[-1] > 1:
+def _tree_product(m, size=1):
+    """Ordered product M[n-1] ... M[1] M[0] along the last axis, pairwise, to ``size`` entries."""
+    while m.shape[-1] > size:
         even = m.shape[-1] & ~1
         paired = _matmul(m[..., 1:even:2], m[..., 0:even:2])
         if even < m.shape[-1]:  # an odd step out waits for the next level
             paired = np.concatenate((paired, m[..., even:]), axis=-1)
         m = paired
-    return m[..., 0]
+    return m
 
 
-def _grid(cells: Cells, n: int):
-    """Width and Gauss-node psi values (steps, 2) of every step across [-1, 1].
-
-    Each varying cell is cut into n equal steps; a constant cell is one step.
-    """
-    varying = np.isnan(cells.constant)
-    counts = np.where(varying, n, 1)
-    widths = np.diff(cells.edges)
-    h = np.repeat(widths / counts, counts)
-    mixed = not varying.all()
-    # a slice when every cell varies: index gathers cost ~5% of a 1,001-node shoot
-    rows = np.flatnonzero(varying) if mixed else slice(None)
-    unit = ((np.arange(n)[:, None] + _GAUSS) / n).ravel()  # Gauss nodes of a unit cell
-    x = cells.edges[:-1][rows, None] + widths[rows, None] * unit
-    psi = cells.values((rows, None), x).reshape(-1, 2)
-    if mixed:
-        nodes = np.empty((h.size, 2))
-        on_varying = np.repeat(varying, counts)
-        nodes[on_varying] = psi
-        nodes[~on_varying] = cells.constant[~varying, None]
-        psi = nodes
-    return h, psi
+def _cell_matrices(cells: Cells, rows, alphas, kappa2, n: int):
+    """(2, 2, alpha, cell) transfer matrices of the cells ``rows``, each cut into n equal steps."""
+    out = np.empty((2, 2, alphas.size, rows.size))
+    if rows.size:
+        widths = np.diff(cells.edges)[rows]
+        unit = ((np.arange(n)[:, None] + _GAUSS) / n).ravel()  # Gauss nodes of a unit cell
+        psi = cells.values((rows, None), cells.edges[rows, None] + widths[:, None] * unit)
+        h, psi = np.repeat(widths / n, n), psi.reshape(-1, 2)
+        block = max(1, BLOCK_ELEMENTS // h.size)
+        for i in range(0, alphas.size, block):
+            m = _step_matrices(alphas[i : i + block], kappa2, h, psi[:, 0], psi[:, 1])
+            out[:, :, i : i + block] = _tree_product(m, rows.size)
+    return out
 
 
-def _transfer_at(cells: Cells, alphas, kappa2, n: int):
-    """(2, 2, alpha) transfer matrices across [-1, 1] on the grid of ``_grid``."""
-    h, psi = _grid(cells, n)
-    block = max(1, BLOCK_ELEMENTS // h.size)
-    parts = [
-        _tree_product(_step_matrices(alphas[i : i + block], kappa2, h, psi[:, 0], psi[:, 1]))
-        for i in range(0, alphas.size, block)
-    ]
-    return np.concatenate(parts, axis=-1)
+def _refine(cells: Cells, varying, alphas, kappa2, const, n: int):
+    """Richardson values of M at ``alphas`` from n steps per varying cell; ``const``: exact ones."""
+    rows = np.flatnonzero(varying)
+
+    def product(sel, p):  # M at the alphas ``sel`` from the varying cells' p
+        mats = np.empty(p.shape[:3] + varying.shape)
+        mats[..., ~varying], mats[..., varying] = const[:, :, sel], p
+        m = _tree_product(mats)[..., 0]
+        if not np.all(np.isfinite(m)):
+            raise NumericalFailureError(
+                f"shoot: non-finite state at kappa2={kappa2}, "
+                f"alpha in [{alphas[sel].min()}, {alphas[sel].max()}]"
+            )
+        return m
+
+    out, idx = np.empty((2, 2, alphas.size)), np.arange(alphas.size)
+    p_prev = r_prev = estimate = bound = None
+    while idx.size:
+        if n * rows.size > MAX_STEPS:
+            message = f"shoot: more than {MAX_STEPS} steps needed at alpha={alphas[idx[0]]}"
+            if estimate is not None:
+                c = np.argmax(estimate[0] - bound[0])  # the worst cell
+                message += (
+                    f"; the worst cell's last error estimate {estimate[0, c]:.3e} still exceeds "
+                    f"RTOL*scale + ATOL = {bound[0, c]:.3e}; that cell may be at its rounding floor"
+                )
+            raise NumericalFailureError(message)
+        p_n = _cell_matrices(cells, rows, alphas[idx], kappa2, n)
+        if not rows.size:  # a product of exact steps
+            return product(idx, p_n)
+        r_n = None if p_prev is None else p_n + (p_n - p_prev) / 15.0
+        if r_prev is not None:
+            estimate = np.max(np.abs(r_n - r_prev), axis=(0, 1)) / 63.0
+            bound = RTOL * np.max(np.abs(r_n), axis=(0, 1)) + ATOL
+            done = ~np.any(estimate > bound, axis=-1)  # non-finite ones too: product raises
+            if done.any():  # M at n and n/2, from one product of both levels
+                k, sel = np.count_nonzero(done), np.tile(idx[done], 2)
+                m = product(sel, np.concatenate((p_n[:, :, done], p_prev[:, :, done]), axis=2))
+                out[..., sel[:k]] = m[..., :k] + (m[..., :k] - m[..., k:]) / 15.0
+                keep = ~done
+                idx, estimate, bound = idx[keep], estimate[keep], bound[keep]
+                p_n, r_n = p_n[:, :, keep], r_n[:, :, keep]
+        p_prev, r_prev, n = p_n, r_n, 2 * n
+    return out
 
 
 def _transfer(profile: PotentialProfile, alphas, kappa2):
-    """(2, 2, alpha) transfer matrices across [-1, 1], refined by step doubling.
-
-    Alphas with the same starting n double together; each pass drops the
-    ones within tolerance.
-    """
+    """(2, 2, alpha) transfer matrices across [-1, 1], refined by step doubling."""
     if not (np.all(np.isfinite(alphas)) and np.isfinite(kappa2)):
         raise NumericalFailureError("shoot: alpha and kappa2 must be finite")
     cells = profile.cells
     varying = np.isnan(cells.constant)
+    widths, peak = np.diff(cells.edges)[varying, None], cells.peak[varying, None]
+    block = max(1, BLOCK_ELEMENTS // (4 * varying.size))
+    out = np.empty((2, 2, alphas.size))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if not varying.any():
-            out = _transfer_at(cells, alphas, kappa2, 1)
-            if not np.all(np.isfinite(out)):
-                raise NumericalFailureError(f"shoot: non-finite state at kappa2={kappa2}")
-            return out
-        widths = np.diff(cells.edges)[varying, None]
-        peak = cells.peak[varying, None]
-        ncells = widths.size
-        block = max(1, BLOCK_ELEMENTS // ncells)  # bounds the (cell, alpha) temporaries
-        resolution = START_RESOLUTION * np.concatenate([
-            np.max(widths * np.sqrt(np.abs(alphas[i : i + block]) * peak + abs(kappa2)), axis=0)
-            for i in range(0, alphas.size, block)
-        ])
-        # capped exponent: anything past MAX_STEPS fails before it is built
-        exponent = np.ceil(np.log2(np.clip(resolution, 1.0, 2.0 * MAX_STEPS)))
-        start = 2 ** exponent.astype(np.int64)
-        out = np.empty((2, 2, alphas.size))
-        for n in np.unique(start):
-            idx = np.flatnonzero(start == n)
-            p_prev = r_prev = estimate = bound = None
-            while idx.size:
-                if n * ncells > MAX_STEPS:
-                    floor = "" if estimate is None else (
-                        f"; the last error estimate {estimate[0]:.3e} still exceeds "
-                        f"RTOL*scale + ATOL = {bound[0]:.3e}; it may have reached "
-                        "the rounding floor of the transfer matrix"
-                    )
-                    raise NumericalFailureError(
-                        f"shoot: more than {MAX_STEPS} steps needed at alpha={alphas[idx[0]]}"
-                        + floor
-                    )
-                p_n = _transfer_at(cells, alphas[idx], kappa2, int(n))
-                r_n = None if p_prev is None else p_n + (p_n - p_prev) / 15.0
-                if r_prev is not None:
-                    scale = np.max(np.abs(r_n), axis=(0, 1))
-                    if not np.all(np.isfinite(scale)):
-                        raise NumericalFailureError(
-                            f"shoot: non-finite state at kappa2={kappa2}, "
-                            f"alpha in [{alphas[idx].min()}, {alphas[idx].max()}]"
-                        )
-                    estimate = np.max(np.abs(r_n - r_prev), axis=(0, 1)) / 63.0
-                    bound = RTOL * scale + ATOL
-                    done = estimate <= bound
-                    out[..., idx[done]] = r_n[..., done]
-                    idx, p_n, r_n = idx[~done], p_n[..., ~done], r_n[..., ~done]
-                    estimate, bound = estimate[~done], bound[~done]
-                p_prev, r_prev, n = p_n, r_n, 2 * n
+        for i in range(0, alphas.size, block):
+            part = alphas[i : i + block]
+            resolution = START_RESOLUTION * np.max(
+                widths * np.sqrt(np.abs(part) * peak + abs(kappa2)), axis=0, initial=0.0
+            )
+            # capped exponent: anything past MAX_STEPS fails before it is built
+            start = 2 ** np.ceil(np.log2(np.clip(resolution, 1.0, 2.0 * MAX_STEPS))).astype(int)
+            const = _cell_matrices(cells, np.flatnonzero(~varying), part, kappa2, 1)
+            for n in sorted(set(start.tolist())):  # alphas that start alike double together
+                idx = np.flatnonzero(start == n)
+                out[..., i + idx] = _refine(cells, varying, part[idx], kappa2, const[:, :, idx], n)
     return out
 
 
@@ -219,8 +210,9 @@ def shoot(profile: PotentialProfile, alpha: float, kappa2: float = 0.0) -> Funda
     """Boundary data of both fundamental solutions at xi=1.
 
     The one-alpha case of ``shoot_batch``, bit for bit.  RTOL and ATOL bound
-    the step-doubling error estimate of the transfer matrix, so every entry
-    is accurate to about RTOL times the largest one (module docstring).
+    the step-doubling error estimate of every cell's transfer matrix, so
+    every entry is accurate to about RTOL times the product of the cells'
+    scales (module docstring).
 
     Raises NumericalFailureError on a non-finite alpha or state (e.g. alpha
     large enough that the solution overflows) or past MAX_STEPS steps.

@@ -155,6 +155,21 @@ def test_roundtrip_sampled_bit_exact(tmp_path):
     again = load_profile(path)
     np.testing.assert_array_equal(again.xi, prof.xi)
     np.testing.assert_array_equal(again.psi, prof.psi)
+    assert again == prof and hash(again) == hash(prof)
+
+
+def test_sampled_profiles_compare_and_hash_by_value():
+    xi, psi = np.linspace(-1.0, 1.0, 11), np.linspace(1.0, -1.0, 11) ** 3
+    prof = from_samples(xi, psi)
+    same = from_samples(xi.tolist(), psi.tolist())
+    assert prof == same and not prof != same
+    assert hash(prof) == hash(same) and len({prof, same}) == 1
+    changed = psi.copy()
+    changed[4] += 1e-12
+    assert prof != from_samples(xi, changed)
+    assert prof != from_samples(xi[:-1], psi[:-1])
+    assert prof != from_segments([(-1.0, 1.0, (0.0, -1.5))])
+    assert prof != "sampled"
 
 
 def test_load_profile_equivalent_to_builtin(tmp_path, seba):

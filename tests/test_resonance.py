@@ -113,7 +113,7 @@ def test_lagrange_identity_for_returned_values(seba, step):
         {"alpha_min": float("nan"), "alpha_max": 1.0},
         {"scan_step": 0.0},
         {"scan_step": -1.0},
-        # a scan of more than shooting.BLOCK_ELEMENTS cells is refused before its grid is built
+        # a scan of more than MAX_SCAN_CELLS cells is refused before its grid is built
         {"alpha_min": -1e15, "alpha_max": 1e15},
     ],
 )
@@ -458,17 +458,37 @@ def test_close_roots_in_adjacent_cells_are_both_returned(seba, monkeypatch):
     assert [rv.alpha for rv in roots] == pytest.approx([0.99, 1.01], abs=1e-12)
 
 
-def test_near_tangency_warns_only_from_find_resonances(seba, monkeypatch):
+def test_near_tangency_warns_from_every_search(seba, monkeypatch):
     _fake_g(monkeypatch, lambda a: (a - 1.0) ** 2 + 1e-9)
     with pytest.warns(NearTangencyWarning) as record:
         assert find_resonances(seba, 0.5, 1.5, 0.5) == []
     assert len(record) == 1
     assert record[0].filename == __file__
+    with pytest.warns(NearTangencyWarning) as record:
+        assert classify(seba, 1.0, 0.5) == NonResonant()
+    assert len(record) == 1
+    assert record[0].filename == __file__
+    with pytest.warns(NearTangencyWarning), pytest.raises(NotResonantError):
+        coupling(seba, 1.0, 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error", NearTangencyWarning)
-        assert classify(seba, 1.0, 1e-3) == NonResonant()
-        with pytest.raises(NotResonantError):
-            coupling(seba, 1.0)
+        assert classify(seba, 1.0, 1e-3) == NonResonant()  # one cell: no dip to see
+
+
+def test_classify_warns_on_a_dip_as_find_resonances_does():
+    # seba scaled by 100 has the roots +-0.181746 and +-0.5715 within one
+    # 0.5 scan step, so g dips between them without a sign change
+    seba100 = from_segments(
+        [(-1.0, 0.0, (0.0, -600.0, -600.0)), (0.0, 1.0, (0.0, -600.0, 600.0))]
+    )
+    for alpha in (0.5715, -0.5715):
+        with pytest.warns(NearTangencyWarning, match="at least two roots") as scan:
+            assert find_resonances(seba100, alpha - 0.5, alpha + 0.5) == []
+        with pytest.warns(NearTangencyWarning, match="at least two roots") as record:
+            assert classify(seba100, alpha, 0.5) == NonResonant()
+        assert [str(w.message) for w in record] == [str(w.message) for w in scan]
+        with pytest.warns(NearTangencyWarning), pytest.raises(NotResonantError):
+            coupling(seba100, alpha, 0.5)
 
 
 def test_alpha_zero_reported_once_when_g_crosses_there():

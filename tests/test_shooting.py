@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from deltaprime import (
     find_resonances,
     from_samples,
     from_segments,
+    load_profile,
     neumann_mismatch,
     shoot,
 )
@@ -86,12 +88,15 @@ def test_sign_bracket_for_step_root(step):
 
 
 def test_batch_agrees_with_scalar(seba):
-    alphas = [-12.0, 0.0, 7.5, 18.1747, 33.0]
-    u1, du1, v1, dv1 = shoot_batch(seba, alphas)
-    for i, a in enumerate(alphas):
-        fd = shoot(seba, a)
-        assert u1[i] == pytest.approx(fd.u1, rel=1e-6, abs=1e-8)
-        assert du1[i] == pytest.approx(fd.du1, rel=1e-4, abs=1e-6)
+    # alphas that start at different step counts, on a profile with only
+    # varying cells and on one with constant cells as well
+    mixed = from_samples([-0.5, -0.25, 0.0, 0.25, 0.5], [1.0, 1.0, 0.0, -1.0, -1.0])
+    alphas = [-12.0, 0.0, 7.5, 18.1747, 33.0, 150.0]
+    for profile in (seba, mixed):
+        u1, du1, v1, dv1 = shoot_batch(profile, alphas)
+        for i, a in enumerate(alphas):
+            fd = shoot(profile, a)
+            assert (u1[i], du1[i], v1[i], dv1[i]) == (fd.u1, fd.du1, fd.v1, fd.dv1)
 
 
 @pytest.mark.parametrize(
@@ -159,18 +164,19 @@ def test_constant_piece_costs_one_step(step, monkeypatch):
 
     monkeypatch.setattr(shooting, "_step_matrices", counting)
     shoot(step, 37.0, 1.0)
-    assert [h.size for h in widths] == [2]  # one step on each of the two constant pieces
+    assert [h.tolist() for h in widths] == [[1.0, 1.0]]  # one step per constant cell, once
 
     # equal adjacent samples make constant cells, and so do the zero stretches
-    # outside the support [-0.5, 0.5]; only the cell where psi = -4*xi varies
-    sampled = from_samples([-0.5, -0.25, 0.25, 0.5], [1.0, 1.0, -1.0, -1.0])
+    # outside the support [-0.5, 0.5]; psi = -4*xi varies on the two cells between
+    sampled = from_samples([-0.5, -0.25, 0.0, 0.25, 0.5], [1.0, 1.0, 0.0, -1.0, -1.0])
     widths.clear()
     fd = shoot(sampled, 37.0, 1.0)
-    assert len(widths) >= 3  # at least three doubling levels
-    for h in widths:
-        n = h.size - 4
-        np.testing.assert_array_equal(h[[0, 1, -2, -1]], [0.5, 0.25, 0.25, 0.5])
-        np.testing.assert_array_equal(h[2:-2], 0.5 / n)
+    constant, *levels = widths
+    np.testing.assert_array_equal(constant, [0.5, 0.25, 0.25, 0.5])  # built once per shoot
+    assert len(levels) >= 3  # at least three doubling levels of the varying cells
+    for level, h in enumerate(levels):
+        n = levels[0].size // 2 * 2**level  # one n shared by both varying cells
+        np.testing.assert_array_equal(h, np.full(2 * n, 0.25 / n))
     same = from_segments([(-0.5, -0.25, (1.0,)), (-0.25, 0.25, (0.0, -4.0)), (0.25, 0.5, (-1.0,))])
     want = shoot(same, 37.0, 1.0)
     scale = max(abs(want.u1), abs(want.du1), abs(want.v1), abs(want.dv1))
@@ -188,36 +194,55 @@ def test_step_cap_raises_instead_of_degrading(seba, monkeypatch):
         shoot_batch(seba, [0.5, 150.0])
 
 
-#: the benchmark's generated degree-2 profile d2-0 (m0 = 0, m1 = -1); at
-#: alpha = 143.708 its step-doubling estimate stalls near 1e-7 against a
-#: transfer matrix of scale 1.5e4
-D2_0_SEGMENTS = (
-    (-1.0, -0.27949319284250973, (5.68428570500694, 4.781883674929225, -1.3503578888072)),
-    (
-        -0.27949319284250973,
-        -0.06323329986982817,
-        (0.2240255072507366, 0.6198024035906564, -2.169290895421567),
-    ),
-    (
-        -0.06323329986982817,
-        0.10855211951458665,
-        (1.5290756181632152, 4.0747739736255, -4.144799340936069),
-    ),
-    (0.10855211951458665, 1.0, (-5.971002549278033, 0.623592394533598, 9.844549940222986)),
-)
+#: the benchmark's generated degree-2 profile d2-0 (m0 = 0, m1 = -1).  At
+#: alpha = 143.708 its first piece has scale 3.3e5 and M only 1.6e4, so a test
+#: on M alone would ask that piece for accuracy below its rounding floor.
+D2_0 = load_profile(Path(__file__).parent / "data" / "d2_0.json")
 
 
-def test_step_cap_message_gives_the_stalled_estimate():
-    profile = from_segments(D2_0_SEGMENTS)
+def test_growth_then_decay_converges_per_cell():
+    fd = shoot(D2_0, 143.708)
+    u1, du1, v1, dv1 = shoot_batch(D2_0, [143.708])
+    assert (fd.u1, fd.du1, fd.v1, fd.dv1) == (u1[0], du1[0], v1[0], dv1[0])
+    assert fd.rel_wronskian_defect <= 1e-8
+
+
+def test_d2_0_and_its_mirror_have_mirrored_roots():
+    roots = find_resonances(D2_0)
+    mirror = find_resonances(D2_0.reflected())
+    assert len(roots) == len(mirror) == 11
+    for rv, rm in zip(roots, mirror):
+        assert rm.alpha == pytest.approx(rv.alpha, rel=1e-9, abs=1e-12)
+        assert rv.theta * rm.theta == pytest.approx(1.0, abs=1e-9)
+
+
+def test_step_cap_message_gives_the_stalled_estimate(monkeypatch):
+    # no cell can pass a zero bound, so the cap is reached after three levels
+    monkeypatch.setattr(shooting, "RTOL", 0.0)
+    monkeypatch.setattr(shooting, "ATOL", 0.0)
+    monkeypatch.setattr(shooting, "MAX_STEPS", 4096)
+    built = []
+    build = shooting._cell_matrices
+
+    def recording(cells, rows, alphas, kappa2, n):
+        built.append(build(cells, rows, alphas, kappa2, n))
+        return built[-1]
+
+    monkeypatch.setattr(shooting, "_cell_matrices", recording)
     pattern = (
-        r"more than 65536 steps needed at alpha=143\.708; the last error estimate "
-        r"(\S+) still exceeds RTOL\*scale \+ ATOL = (\S+);"
+        r"more than 4096 steps needed at alpha=143\.708; the worst cell's last error "
+        r"estimate (\S+) still exceeds RTOL\*scale \+ ATOL = (\S+);"
     )
-    for call in (lambda: shoot(profile, 143.708), lambda: shoot_batch(profile, [143.708])):
+    for call in (lambda: shoot(D2_0, 143.708), lambda: shoot_batch(D2_0, [143.708])):
+        built.clear()
         with pytest.raises(NumericalFailureError, match=pattern) as info:
             call()
-        estimate, bound = map(float, re.search(pattern, str(info.value)).groups())
-        assert estimate > bound > 0.0
+        estimate, bound = re.search(pattern, str(info.value)).groups()
+        p0, p1, p2 = (p[:, :, 0] for p in built[-3:])  # (2, 2, cell) at n, 2n and 4n
+        r1, r2 = p1 + (p1 - p0) / 15.0, p2 + (p2 - p1) / 15.0
+        assert p2.shape[-1] == 4  # the four varying cells
+        assert estimate == f"{np.max(np.abs(r2 - r1)) / 63.0:.3e}"  # the largest over the cells
+        assert float(bound) == 0.0 < float(estimate)
 
 
 def test_rel_wronskian_defect_formula():
