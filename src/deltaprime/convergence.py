@@ -14,10 +14,11 @@ difference, and is reported as such.
 
 Every operator of a study differs from the free second difference only on a
 window W around the origin: the nodes where some scaled potential can be
-nonzero and the limit's interface rows, padded by two nodes.  The two free
-exterior blocks outside W are solved once per study, for the battery and for
-the unit vector at their inner end, which gives the boundary Green's column
-g.  Each operator then solves only its W system, whose end rows take the
+nonzero and the limit's interface rows, padded by two nodes.  So the two
+exterior blocks outside W are free rows by construction: they are built at
+their own length and solved once per study, for the battery and for the
+unit vector at their inner end, which gives the boundary Green's column g.
+Each operator then solves only its W system, whose end rows take the
 exterior as a Schur complement: -h^-4*g_end on the diagonal and
 h^-2*Y_end on the right-hand side (Y the exterior battery solution).  Outside
 W two solutions differ by a multiple of g, so the error norm is the W
@@ -30,10 +31,9 @@ also bound the operator's full-system residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import InvalidInputError, NumericalFailureError
 from .profiles import PotentialProfile
@@ -102,94 +102,87 @@ def make_grid(eps_min: float, L: float = DEFAULT_L, resolution: float = MIN_RESO
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Banded matrix with at most two real off-diagonals on each side.
+    """Banded n x n matrix A held as one array ab of shape (2w+1, n), with
+    A[i, j] = ab[w + i - j, j]: the layout scipy.linalg.solve_banded((w, w),
+    ab, b) reads.  Entries of ab outside the matrix are never read.
 
-    The diagonal is real for every discretization; only the window systems
-    of ``study`` carry a complex one, from the exterior's Schur corrections.
-    Entries follow numpy indexing: sub1[i] = A[i+1, i], sup1[i] = A[i, i+1],
-    sub2[i] = A[i+2, i], sup2[i] = A[i, i+2].
+    The builder fixes w: 2 for a resonant limit with theta != 1, whose
+    interface rows reach two nodes across the origin, and 1 for every other
+    operator.  The off-diagonals are real; the diagonal is real for every
+    discretization, and only the window systems of ``study`` carry a complex
+    one, from the exterior's Schur corrections.
     """
 
-    diag: np.ndarray
-    sub1: np.ndarray
-    sup1: np.ndarray
-    sub2: np.ndarray
-    sup2: np.ndarray
+    ab: np.ndarray
     kind: str
     params: dict = field(default_factory=dict)
 
     @property
-    def n(self) -> int:
-        return len(self.diag)
+    def w(self) -> int:
+        return len(self.ab) // 2
 
     @property
-    def bandwidth(self) -> int:
-        """1 when sub2 and sup2 vanish (tridiagonal), 2 otherwise."""
-        return 2 if self.sub2.any() or self.sup2.any() else 1
+    def n(self) -> int:
+        return self.ab.shape[1]
+
+    @property
+    def diag(self) -> np.ndarray:
+        return self.ab[self.w]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x for one vector (n,) or a block of columns (n, m)."""
         xt = x.T
         y = self.diag * xt
-        self._add_off_diagonals(y, xt)
+        _add_off_diagonals(self.ab, y, xt)
         return y.T
 
-    def _add_off_diagonals(self, y: np.ndarray, xt: np.ndarray) -> None:
-        """y += (A - diag(A)) x, with x and y laid out as (..., n); the second
-        bands are skipped when they are zero."""
-        y[..., 1:] += self.sub1 * xt[..., :-1]
-        y[..., :-1] += self.sup1 * xt[..., 1:]
-        if self.bandwidth == 2:
-            y[..., 2:] += self.sub2 * xt[..., :-2]
-            y[..., :-2] += self.sup2 * xt[..., 2:]
-
     def to_dense(self) -> np.ndarray:
-        A = np.diag(self.diag)
-        A += np.diag(self.sub1, -1) + np.diag(self.sup1, 1)
-        A += np.diag(self.sub2, -2) + np.diag(self.sup2, 2)
+        A = np.zeros((self.n, self.n), dtype=self.ab.dtype)
+        for k in range(-self.w, self.w + 1):  # A[j + k, j] for the columns j it has
+            j = np.arange(max(0, -k), min(self.n, self.n - k))
+            A[j + k, j] = self.ab[self.w + k, j]
         return A
 
     def shifted_banded(self, shift: complex) -> np.ndarray:
-        """(A - shift*I) in scipy solve_banded layout with (l, u) = (w, w),
-        w = ``bandwidth``: 2w + 1 rows."""
-        w = self.bandwidth
-        ab = np.zeros((2 * w + 1, self.n), dtype=complex)
-        ab[w] = self.diag - shift
-        ab[w - 1, 1:] = self.sup1
-        ab[w + 1, :-1] = self.sub1
-        if w == 2:
-            ab[0, 2:] = self.sup2
-            ab[4, :-2] = self.sub2
+        """A - shift*I as a complex copy of ab."""
+        ab = self.ab.astype(complex)
+        ab[self.w] -= shift
         return ab
 
     @property
     def inf_norm(self) -> float:
-        bands = (self.diag, self.sub1, self.sup1, self.sub2, self.sup2)
-        absolute = DiscreteOperator(*map(np.abs, bands), self.kind)
+        absolute = DiscreteOperator(np.abs(self.ab), self.kind)
         return float(np.max(absolute.matvec(np.ones(self.n))))
 
 
+def _add_off_diagonals(ab: np.ndarray, y: np.ndarray, xt: np.ndarray) -> None:
+    """y += (A - diag(A)) x for A held as ab, with x and y laid out as (..., n)."""
+    w = len(ab) // 2
+    for d in range(1, w + 1):
+        y[..., d:] += ab[w + d, :-d] * xt[..., :-d]  # A[i + d, i]
+        y[..., :-d] += ab[w - d, d:] * xt[..., d:]  # A[i, i + d]
+
+
+def solve_banded(l_and_u, ab, b):
+    """scipy.linalg.solve_banded, imported on the first solve so that
+    importing the package loads no scipy."""
+    from scipy.linalg import solve_banded as solve
+
+    return solve(l_and_u, ab, b)
+
+
 def _block(op: DiscreteOperator, lo: int, hi: int) -> DiscreteOperator:
-    """The principal submatrix of op on rows and columns lo..hi-1."""
-    return DiscreteOperator(
-        op.diag[lo:hi],
-        op.sub1[lo : max(lo, hi - 1)],
-        op.sup1[lo : max(lo, hi - 1)],
-        op.sub2[lo : max(lo, hi - 2)],
-        op.sup2[lo : max(lo, hi - 2)],
-        op.kind,
-        op.params,
-    )
+    """The principal submatrix of op on rows and columns lo..hi-1, as a copy."""
+    return DiscreteOperator(op.ab[:, lo:hi].copy(), op.kind, op.params)
 
 
-def _free_rows(n: int, h: float):
+def _free_rows(n: int, h: float) -> np.ndarray:
+    """Band array (w = 1) of the free second difference on n nodes."""
     inv_h2 = 1.0 / (h * h)
-    diag = np.full(n, 2.0 * inv_h2)
-    sub1 = np.full(n - 1, -inv_h2)
-    sup1 = np.full(n - 1, -inv_h2)
-    sub2 = np.zeros(n - 2)
-    sup2 = np.zeros(n - 2)
-    return diag, sub1, sup1, sub2, sup2
+    ab = np.zeros((3, n))
+    ab[0, 1:] = ab[2, :-1] = -inv_h2
+    ab[1] = 2.0 * inv_h2
+    return ab
 
 
 def _potential(
@@ -216,11 +209,9 @@ def discretize_seps(
     Requires eps/h >= 16 so the scaled potential is resolved.
     """
     potential = _potential(profile, alpha, eps, grid, grid.nodes())
-    diag, sub1, sup1, sub2, sup2 = _free_rows(grid.N, grid.h)
-    diag += potential
-    return DiscreteOperator(
-        diag, sub1, sup1, sub2, sup2, KIND_SEPS, {"alpha": alpha, "eps": eps}
-    )
+    ab = _free_rows(grid.N, grid.h)
+    ab[1] += potential
+    return DiscreteOperator(ab, KIND_SEPS, {"alpha": alpha, "eps": eps})
 
 
 def discretize_limit(c: Classification, grid: Grid) -> DiscreteOperator:
@@ -239,17 +230,13 @@ def discretize_limit(c: Classification, grid: Grid) -> DiscreteOperator:
     """
     h = grid.h
     inv_h2 = 1.0 / (h * h)
-    diag, sub1, sup1, sub2, sup2 = _free_rows(grid.N, h)
+    ab = _free_rows(grid.N, h)
     im, ip = grid.interface
 
     if isinstance(c, NonResonant):
-        diag[im] = 3.0 * inv_h2
-        diag[ip] = 3.0 * inv_h2
-        sup1[im] = 0.0
-        sub1[im] = 0.0  # sub1[im] = A[ip, im]
-        return DiscreteOperator(
-            diag, sub1, sup1, sub2, sup2, KIND_DIRICHLET_PAIR, {}
-        )
+        ab[1, im] = ab[1, ip] = 3.0 * inv_h2
+        ab[0, ip] = ab[2, im] = 0.0  # A[im, ip] and A[ip, im]
+        return DiscreteOperator(ab, KIND_DIRICHLET_PAIR, {})
 
     if not isinstance(c, Resonant):
         raise InvalidInputError(
@@ -259,21 +246,24 @@ def discretize_limit(c: Classification, grid: Grid) -> DiscreteOperator:
     if not (np.isfinite(th) and th != 0.0):
         raise InvalidInputError(f"discretize_limit: theta must be finite and nonzero, got {th}")
     if th == 1.0:
-        return DiscreteOperator(
-            diag, sub1, sup1, sub2, sup2, KIND_CONNECTED, {"theta": th}
-        )
+        return DiscreteOperator(ab, KIND_CONNECTED, {"theta": th})
     d = 1.0 + th * th
-    # row at -h/2
-    sub1[im - 1] = -(3.0 + 4.0 * th * th) / (3.0 * d) * inv_h2  # A[im, im-1]
-    diag[im] = (1.0 + 4.0 * th * th) / d * inv_h2
-    sup1[im] = -3.0 * th / d * inv_h2  # A[im, ip]
-    sup2[im] = th / (3.0 * d) * inv_h2  # A[im, ip+1]
-    # row at +h/2
-    sub2[im - 1] = th / (3.0 * d) * inv_h2  # A[ip, im-1]
-    sub1[im] = -3.0 * th / d * inv_h2  # A[ip, im]
-    diag[ip] = (th * th + 4.0) / d * inv_h2
-    sup1[ip] = -(4.0 + 3.0 * th * th) / (3.0 * d) * inv_h2  # A[ip, ip+1]
-    return DiscreteOperator(diag, sub1, sup1, sub2, sup2, KIND_CONNECTED, {"theta": th})
+    interface = {
+        # row at -h/2
+        (im, im - 1): -(3.0 + 4.0 * th * th) / (3.0 * d),
+        (im, im): (1.0 + 4.0 * th * th) / d,
+        (im, ip): -3.0 * th / d,
+        (im, ip + 1): th / (3.0 * d),
+        # row at +h/2
+        (ip, im - 1): th / (3.0 * d),
+        (ip, im): -3.0 * th / d,
+        (ip, ip): (th * th + 4.0) / d,
+        (ip, ip + 1): -(4.0 + 3.0 * th * th) / (3.0 * d),
+    }
+    ab = np.pad(ab, ((1, 1), (0, 0)))  # w = 2
+    for (i, j), a in interface.items():
+        ab[2 + i - j, j] = a * inv_h2
+    return DiscreteOperator(ab, KIND_CONNECTED, {"theta": th})
 
 
 def _sq_norms(a: np.ndarray) -> np.ndarray:
@@ -298,8 +288,9 @@ def _residual_norms(
     ri = d.real * xi + d.imag * xr
     if np.iscomplexobj(f):
         ri -= f.imag.T
-    op._add_off_diagonals(rr, xr)
-    op._add_off_diagonals(ri, xi)
+    off = op.ab.real
+    _add_off_diagonals(off, rr, xr)
+    _add_off_diagonals(off, ri, xi)
     return np.sqrt(np.einsum("ij,ij->i", rr, rr) + np.einsum("ij,ij->i", ri, ri))
 
 
@@ -332,9 +323,8 @@ def _solve_gated(op: DiscreteOperator, k2: complex, f):
     if not np.all(np.isfinite(f)):
         raise InvalidInputError("resolvent_apply: f must be finite")
     cols = f if f.ndim == 2 else f[:, None]
-    w = op.bandwidth
     try:
-        x = solve_banded((w, w), op.shifted_banded(k2), cols.astype(complex))
+        x = solve_banded((op.w, op.w), op.shifted_banded(k2), cols.astype(complex))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"resolvent_apply: elimination breakdown: {exc}") from exc
     if not np.all(np.isfinite(x)):
@@ -349,7 +339,7 @@ def resolvent_apply(op: DiscreteOperator, k2: complex, f: np.ndarray) -> np.ndar
     """Solve (A - k2*I) x = f by banded direct elimination with pivoting.
 
     f is one right-hand side (n,) or a block (n, m) sharing one factorization,
-    which is (1, 1)-banded when sub2 and sup2 vanish and (2, 2)-banded otherwise.
+    which is (w, w)-banded with the operator's own bandwidth w.
     k2 must have a nonzero imaginary part (the real axis meets the spectrum).
     Each column's residual is checked against max(1e-12*||f||, the
     double-precision floor eps_machine*||A||*||x|| that any backward-stable
@@ -407,17 +397,18 @@ class _Exterior:
     g_res: float  # residual norm of g
 
 
-def _solve_exterior(
-    op: DiscreteOperator, k2: complex, F: np.ndarray, inner: int, end: int
-) -> _Exterior:
-    """Solve the exterior block op for F and the unit vector at row inner, as one block."""
-    m = F.shape[1]
-    rhs = np.zeros((op.n, m + 1))
+def _solve_exterior(h: float, k2: complex, F: np.ndarray, inner: int, end: int) -> _Exterior:
+    """Solve the free rows on F's nodes for F and the unit vector at row inner,
+    as one block."""
+    n, m = F.shape
+    op = DiscreteOperator(_free_rows(n, h), "free")
+    rhs = np.zeros((n, m + 1))
     rhs[:, :m] = F
     rhs[inner, m] = 1.0
     Z, res, z_sq = _solve_gated(op, k2, rhs)
     gz = np.einsum("i,ij->j", Z[:, m].conj(), Z)
-    return _Exterior(end, Z[inner, :m], Z[inner, m], z_sq[:m], gz[:m], gz[m].real, res[:m], res[m])
+    y_end = Z[inner, :m].copy()  # a view would keep the block's solution Z alive
+    return _Exterior(end, y_end, Z[inner, m], z_sq[:m], gz[:m], gz[m].real, res[:m], res[m])
 
 
 def _solve_window(
@@ -432,12 +423,12 @@ def _solve_window(
     operator: n rows, ||A||_inf (equal to op's, since W's pad rows are free
     rows) and the full-length ||x||, which needs only the exterior's norms.
     """
-    diag = op.diag.astype(complex)
+    ab = op.ab.astype(complex)
     rhs = F.astype(complex)
     for s in sides:
-        diag[s.end] -= inv_h2 * inv_h2 * s.g_end
+        ab[op.w, s.end] -= inv_h2 * inv_h2 * s.g_end
         rhs[s.end] += inv_h2 * s.y_end
-    X, bound, x_sq = _solve_gated(replace(op, diag=diag), k2, rhs)
+    X, bound, x_sq = _solve_gated(DiscreteOperator(ab, op.kind, op.params), k2, rhs)
     for s in sides:
         c = -inv_h2 * X[s.end]  # exterior solution: Y - c*g
         bound += s.y_res + inv_h2 * np.abs(X[s.end]) * s.g_res
@@ -509,7 +500,6 @@ def study(
         grid = make_grid(min(eps_arr), resolution=STUDY_RESOLUTION)
 
     c = classify(profile, alpha, tol=1e-3)
-    limit_op = discretize_limit(c, grid)
 
     if test_functions is None:
         test_functions = default_test_functions(grid)
@@ -528,20 +518,18 @@ def study(
     fnorm = np.sqrt(_sq_norms(F))
     x = grid.nodes()
     a, b = _window(profile, eps_arr[0], grid, x)
-    ops = [_block(limit_op, a, b)]
+    ops = [_block(discretize_limit(c, grid), a, b)]  # the full-length build is dropped here
     for eps in eps_arr:
-        diag, sub1, sup1, sub2, sup2 = _free_rows(b - a, grid.h)
-        diag += _potential(profile, alpha, eps, grid, x[a:b])
-        ops.append(
-            DiscreteOperator(diag, sub1, sup1, sub2, sup2, KIND_SEPS, {"alpha": alpha, "eps": eps})
-        )
+        ab = _free_rows(b - a, grid.h)
+        ab[1] += _potential(profile, alpha, eps, grid, x[a:b])
+        ops.append(DiscreteOperator(ab, KIND_SEPS, {"alpha": alpha, "eps": eps}))
 
     inv_h2 = 1.0 / (grid.h * grid.h)
     sides = []
     if a > 0:
-        sides.append(_solve_exterior(_block(limit_op, 0, a), DEFAULT_K2, F[:a], a - 1, 0))
+        sides.append(_solve_exterior(grid.h, DEFAULT_K2, F[:a], a - 1, 0))
     if b < grid.N:
-        sides.append(_solve_exterior(_block(limit_op, b, grid.N), DEFAULT_K2, F[b:], 0, -1))
+        sides.append(_solve_exterior(grid.h, DEFAULT_K2, F[b:], 0, -1))
     X0, *Xs = (_solve_window(op, DEFAULT_K2, F[a:b], sides, inv_h2, grid.N, fnorm) for op in ops)
     entries = []
     for eps, X in zip(eps_arr, Xs):

@@ -63,8 +63,9 @@ class FundamentalData:
 
     wronskian_defect = |u1*dv1 - du1*v1 - 1| measures integration quality;
     the exact Wronskian is identically 1.  In double precision the defect
-    acquires a floor of order eps_machine * |u1*dv1|, so it grows for
-    strongly hyperbolic runs; rel_wronskian_defect divides that floor out.
+    acquires a floor of order eps_machine * max|M|^2, M the transfer matrix
+    [[u1, v1], [du1, dv1]], so it grows for strongly hyperbolic runs;
+    rel_wronskian_defect divides that floor out.
     """
 
     u1: float
@@ -75,8 +76,9 @@ class FundamentalData:
 
     @property
     def rel_wronskian_defect(self) -> float:
-        """|u1*dv1 - du1*v1 - 1| / max(1, |u1*dv1|)."""
-        return self.wronskian_defect / max(1.0, abs(self.u1 * self.dv1))
+        """|u1*dv1 - du1*v1 - 1| / max(1, max|M|)^2."""
+        scale = max(1.0, abs(self.u1), abs(self.du1), abs(self.v1), abs(self.dv1))
+        return self.wronskian_defect / (scale * scale)
 
 
 def _step_matrices(alphas, kappa2, h, psi1, psi2):

@@ -52,6 +52,12 @@ def test_sampled_resonances_match_golden(capsys):
     assert out == (DATA / "seba_sampled_201_resonances_golden.txt").read_text()
 
 
+def test_converge_matches_golden(capsys):
+    code, out, _ = invoke(capsys, "converge", "--builtin", "seba-quadratic", "--alpha", "18.1746")
+    assert code == 0
+    assert out == (DATA / "converge_seba_golden.txt").read_text()
+
+
 def test_byte_identical_reruns(capsys):
     args = ("resonances", "--builtin", "step", "--alpha-min", "-20",
             "--alpha-max", "20", "--format", "csv")

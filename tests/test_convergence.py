@@ -71,11 +71,29 @@ def test_make_grid_rejects_bad_length_and_resolution(kwargs):
         make_grid(0.1, **kwargs)
 
 
+def _band_array(A, w, rng):
+    """A packed as ab[w + i - j, j] = A[i, j], with random values in the
+    entries of ab outside the matrix, which no reader may use."""
+    n = len(A)
+    ab = rng.normal(size=(2 * w + 1, n)).astype(A.dtype)
+    for k in range(-w, w + 1):
+        j = np.arange(max(0, -k), min(n, n - k))
+        ab[w + k, j] = A[j + k, j]
+    return ab
+
+
+def _pentadiagonal(n, rng):
+    A = np.diag(4.0 + rng.normal(size=n))
+    for k in (-2, -1, 1, 2):
+        A += np.diag(rng.normal(size=n - abs(k)), k)
+    return A
+
+
 def test_discretize_seps_symmetric(seba):
     g = small_grid()
     op = discretize_seps(seba, 7.0, 0.5, g)
-    np.testing.assert_array_equal(op.sub1, op.sup1)
-    assert not op.sub2.any() and not op.sup2.any()
+    assert op.ab.shape == (3, g.N)  # tridiagonal
+    np.testing.assert_array_equal(op.ab[0, 1:], op.ab[2, :-1])  # A[i, i+1] == A[i+1, i]
     dense = op.to_dense()
     np.testing.assert_array_equal(dense, dense.T)
 
@@ -100,7 +118,7 @@ def test_discretize_seps_resolution_precondition(seba):
 def test_discretize_seps_free_eigenvalue(seba):
     g = small_grid(L=2.0, N=256)
     op = discretize_seps(seba, 0.0, 0.5, g)
-    lam = eigvalsh_tridiagonal(op.diag, op.sub1, select="i", select_range=(0, 0))[0]
+    lam = eigvalsh_tridiagonal(op.diag, op.ab[2, :-1], select="i", select_range=(0, 0))[0]
     want = dirichlet_laplacian_lowest_eigenvalue(g.L)
     assert lam == pytest.approx(want, rel=1e-4)  # O(h^2) discretization error
 
@@ -109,7 +127,9 @@ def test_limit_nonresonant_blocks_decouple():
     g = small_grid()
     op = discretize_limit(NonResonant(), g)
     im, ip = g.interface
-    assert op.sub1[im] == 0.0 and op.sup1[im] == 0.0
+    dense = op.to_dense()
+    assert op.w == 1
+    assert not dense[:ip, ip:].any() and not dense[ip:, :ip].any()
     assert op.diag[im] == op.diag[ip] == 3.0 / g.h**2
     assert op.kind == "limit-dirichlet-pair"
 
@@ -118,9 +138,10 @@ def test_limit_theta_one_is_free_stencil():
     g = small_grid()
     op = discretize_limit(Resonant(1.0), g)
     inv_h2 = 1.0 / g.h**2
-    np.testing.assert_array_equal(op.diag, np.full(g.N, 2.0 * inv_h2))
-    np.testing.assert_array_equal(op.sub1, np.full(g.N - 1, -inv_h2))
-    assert not op.sub2.any() and not op.sup2.any()
+    off = np.full(g.N - 1, -inv_h2)
+    free = np.diag(np.full(g.N, 2.0 * inv_h2)) + np.diag(off, -1) + np.diag(off, 1)
+    assert op.w == 1
+    np.testing.assert_array_equal(op.to_dense(), free)
 
 
 def test_limit_theta_rejects_degenerate():
@@ -191,19 +212,13 @@ def test_resolvent_zero_rhs():
 def test_resolvent_small_n_dense_oracle():
     n, h = 8, 0.125
     inv_h2 = 1.0 / h**2
-    op = DiscreteOperator(
-        np.full(n, 2.0 * inv_h2),
-        np.full(n - 1, -inv_h2),
-        np.full(n - 1, -inv_h2),
-        np.zeros(n - 2),
-        np.zeros(n - 2),
-        "dirichlet-laplacian",
-    )
+    laplacian = inv_h2 * (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
     rng = np.random.default_rng(7)
+    op = DiscreteOperator(_band_array(laplacian, 1, rng), "dirichlet-laplacian")
+    np.testing.assert_array_equal(op.to_dense(), laplacian)
     f = rng.normal(size=n)
     x = resolvent_apply(op, 2j - 0.5, f)
-    dense = op.to_dense().astype(complex) - (2j - 0.5) * np.eye(n)
-    want = np.linalg.solve(dense, f)
+    want = np.linalg.solve(laplacian - (2j - 0.5) * np.eye(n), f)
     np.testing.assert_allclose(x, want, rtol=1e-12, atol=1e-12)
     residual = op.matvec(x) - (2j - 0.5) * x - f
     assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(f)
@@ -212,20 +227,15 @@ def test_resolvent_small_n_dense_oracle():
 def test_resolvent_pentadiagonal_dense_oracle():
     n = 8
     rng = np.random.default_rng(11)
-    op = DiscreteOperator(
-        4.0 + rng.normal(size=n),
-        rng.normal(size=n - 1),
-        rng.normal(size=n - 1),
-        rng.normal(size=n - 2),
-        rng.normal(size=n - 2),
-        "pentadiagonal",
-    )
+    A = _pentadiagonal(n, rng)
+    op = DiscreteOperator(_band_array(A, 2, rng), "pentadiagonal")
+    np.testing.assert_array_equal(op.to_dense(), A)
     k2 = 1.5j + 0.25
     F = rng.normal(size=(n, 3))
     X = resolvent_apply(op, k2, F)
-    dense = op.to_dense().astype(complex) - k2 * np.eye(n)
-    np.testing.assert_allclose(X, np.linalg.solve(dense, F), rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(op.matvec(F), op.to_dense() @ F, rtol=1e-14)
+    np.testing.assert_allclose(X, np.linalg.solve(A - k2 * np.eye(n), F), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(op.matvec(F), A @ F, rtol=1e-14)
+    assert op.inf_norm == pytest.approx(np.abs(A).sum(axis=1).max(), rel=1e-15)
 
 
 @pytest.mark.parametrize("which", ["seps", "nonresonant", "resonant"])
@@ -236,7 +246,7 @@ def test_resolvent_block_matches_columns(seba, which):
         "nonresonant": lambda: discretize_limit(NonResonant(), g),
         "resonant": lambda: discretize_limit(Resonant(2.0), g),
     }[which]()
-    assert op.sub2.any() == (which == "resonant")  # only Resonant(2.0) is pentadiagonal
+    assert op.w == (2 if which == "resonant" else 1)  # only Resonant(2.0) is pentadiagonal
     F = np.column_stack(default_test_functions(g))
     X = resolvent_apply(op, 1j, F)
     assert X.shape == F.shape
@@ -247,7 +257,7 @@ def test_resolvent_block_matches_columns(seba, which):
 
 
 @pytest.mark.parametrize("which", ["seps", "nonresonant", "resonant"])
-def test_resolvent_solution_bit_identical_to_five_row_layout(seba, which):
+def test_resolvent_solves_the_shifted_band_array(seba, monkeypatch, which):
     g = small_grid()
     op = {
         "seps": lambda: discretize_seps(seba, 18.1746, 0.5, g),
@@ -255,30 +265,45 @@ def test_resolvent_solution_bit_identical_to_five_row_layout(seba, which):
         "resonant": lambda: discretize_limit(Resonant(2.0), g),
     }[which]()
     F = np.column_stack(default_test_functions(g))
-    # A - k2*I in the (2, 2) layout, sliced to the rows of the bandwidth used
-    ab = np.zeros((5, g.N), dtype=complex)
-    ab[2] = op.diag - 1j
-    ab[1, 1:], ab[0, 2:] = op.sup1, op.sup2
-    ab[3, :-1], ab[4, :-2] = op.sub1, op.sub2
     w = 2 if which == "resonant" else 1
-    want = scipy_solve_banded((w, w), ab[2 - w : 3 + w], F.astype(complex))
-    assert np.array_equal(resolvent_apply(op, 1j, F), want)
+    shifted = op.ab.astype(complex)
+    shifted[w] -= 1j
+    calls = []
+    real = deltaprime.convergence.solve_banded
+
+    def spy(lu, ab, b):
+        calls.append((lu, ab.copy()))
+        return real(lu, ab, b)
+
+    monkeypatch.setattr(deltaprime.convergence, "solve_banded", spy)
+    x = resolvent_apply(op, 1j, F)
+    [(lu, ab)] = calls
+    assert lu == (w, w)
+    assert np.array_equal(ab, shifted)
+    assert np.array_equal(x, scipy_solve_banded((w, w), shifted, F.astype(complex)))
+
+
+def test_block_is_the_principal_submatrix():
+    """Every block of the resonant limit, 1-row blocks and blocks cut through
+    the interface rows included."""
+    op = discretize_limit(Resonant(2.0), Grid(L=2.0, N=64))
+    dense = op.to_dense()
+    for lo in range(64):
+        for hi in range(lo + 1, 65):
+            np.testing.assert_array_equal(
+                deltaprime.convergence._block(op, lo, hi).to_dense(), dense[lo:hi, lo:hi]
+            )
 
 
 def test_residual_norms_match_dense_residual():
     n = 12
     rng = np.random.default_rng(5)
-    op = DiscreteOperator(
-        4.0 + rng.normal(size=n) + 1j * rng.normal(size=n),  # complex diagonal, as in a window
-        rng.normal(size=n - 1),
-        rng.normal(size=n - 1),
-        rng.normal(size=n - 2),
-        rng.normal(size=n - 2),
-        "pentadiagonal",
-    )
+    A = _pentadiagonal(n, rng) + 1j * np.diag(rng.normal(size=n))  # complex diagonal, as in a window
+    op = DiscreteOperator(_band_array(A, 2, rng), "pentadiagonal")
+    np.testing.assert_array_equal(op.to_dense(), A)
     k2 = 0.5 + 1.5j
     x = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
-    dense = op.to_dense() - k2 * np.eye(n)
+    dense = A - k2 * np.eye(n)
     for f in (rng.normal(size=(n, 3)), rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))):
         want = np.linalg.norm(dense @ x - f, axis=0)
         got = deltaprime.convergence._residual_norms(op, k2, x, f)
