@@ -26,12 +26,25 @@ difference plus a rank-one tail per side, h^-2*|dX_end|*||g||, and no
 full-length solution is formed per operator.  Each sub-solve is solved and
 checked once, by the routine behind resolvent_apply, whose residual norms
 also bound the operator's full-system residual.
+
+What a study takes from its battery (the window's rows of F, the full-grid
+column norms of F and the two exterior records) depends only on the grid,
+the battery and the window, not on the profile's values or alpha.  For the
+default battery it is therefore kept across calls, keyed on (grid, a, b)
+with W = [a, b), for the last BATTERY_CACHE_SIZE keys: a warm study builds
+no full-length battery and solves no exterior.  An entry holds (b - a) x m
+floats plus O(m) per side (m columns), every array read-only; an exterior
+that fails its gate raises before anything is stored.  A battery the caller
+passes is solved afresh on every call: keying it on content would hash the
+whole battery on every call, about as costly as the solve it saves, and
+the caller's arrays may change between calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,6 +62,9 @@ MIN_RESOLUTION = 16.0  # required nodes per eps half-width of the scaled potenti
 #: resonance width ~eps*|k|*|q|/g'; at the minimal resolution 16 the detuning
 #: dominates the smallest default eps, so studies resolve much finer.
 STUDY_RESOLUTION = 128.0
+
+#: (grid, window) keys whose default-battery solves a study keeps
+BATTERY_CACHE_SIZE = 4
 
 KIND_SEPS = "scaled-potential"
 KIND_CONNECTED = "limit-connected"
@@ -165,10 +181,11 @@ def _add_off_diagonals(ab: np.ndarray, y: np.ndarray, xt: np.ndarray) -> None:
 
 def solve_banded(l_and_u, ab, b):
     """scipy.linalg.solve_banded, imported on the first solve so that
-    importing the package loads no scipy."""
+    importing the package loads no scipy.  ab and b may be overwritten:
+    every caller hands it fresh copies."""
     from scipy.linalg import solve_banded as solve
 
-    return solve(l_and_u, ab, b)
+    return solve(l_and_u, ab, b, overwrite_ab=True, overwrite_b=True)
 
 
 def _block(op: DiscreteOperator, lo: int, hi: int) -> DiscreteOperator:
@@ -378,13 +395,20 @@ def default_test_functions(grid: Grid) -> list[np.ndarray]:
     return [f / (math.sqrt(h) * np.linalg.norm(f)) for f in fs]
 
 
+def _freeze_arrays(record) -> None:
+    """Make every array field of a record read-only, so a kept one is shared safely."""
+    for value in vars(record).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class _Exterior:
     """One free exterior block of a study, solved for the battery (columns Y)
     and the unit vector at its inner end (the boundary Green's column g).
 
     ``end`` is the window row the block couples to (0 or -1); the rest is read
-    at the block's inner end or summed over the block.
+    at the block's inner end or summed over the block.  Arrays are read-only.
     """
 
     end: int
@@ -395,6 +419,9 @@ class _Exterior:
     g_sq: float  # ||g||^2
     y_res: np.ndarray  # residual norms of the Y_j
     g_res: float  # residual norm of g
+
+    def __post_init__(self):
+        _freeze_arrays(self)
 
 
 def _solve_exterior(h: float, k2: complex, F: np.ndarray, inner: int, end: int) -> _Exterior:
@@ -411,8 +438,38 @@ def _solve_exterior(h: float, k2: complex, F: np.ndarray, inner: int, end: int) 
     return _Exterior(end, y_end, Z[inner, m], z_sq[:m], gz[:m], gz[m].real, res[:m], res[m])
 
 
+@dataclass(frozen=True)
+class _Battery:
+    """What a study takes from its battery F (N, m) on a window W = [a, b):
+    F's rows on W, the full-grid column norms ||F_j|| and the exterior records
+    (left first, where W leaves room for them).  Arrays are read-only."""
+
+    F: np.ndarray
+    fnorm: np.ndarray
+    sides: tuple[_Exterior, ...]
+
+    def __post_init__(self):
+        _freeze_arrays(self)
+
+
+def _battery(grid: Grid, F: np.ndarray, a: int, b: int) -> _Battery:
+    """Reduce F to W = [a, b), solving and gating the exterior blocks outside W."""
+    sides = []
+    if a > 0:
+        sides.append(_solve_exterior(grid.h, DEFAULT_K2, F[:a], a - 1, 0))
+    if b < grid.N:
+        sides.append(_solve_exterior(grid.h, DEFAULT_K2, F[b:], 0, -1))
+    return _Battery(F[a:b].copy(), np.sqrt(_sq_norms(F)), tuple(sides))
+
+
+@lru_cache(maxsize=BATTERY_CACHE_SIZE)
+def _default_battery(grid: Grid, a: int, b: int) -> _Battery:
+    """_battery of default_test_functions(grid), kept across calls (module docstring)."""
+    return _battery(grid, np.column_stack(default_test_functions(grid)), a, b)
+
+
 def _solve_window(
-    op: DiscreteOperator, k2: complex, F: np.ndarray, sides, inv_h2: float, n: int, fnorm
+    op: DiscreteOperator, k2: complex, battery: _Battery, inv_h2: float, n: int
 ) -> np.ndarray:
     """Window solution of one operator, the exterior folded in as a Schur complement.
 
@@ -424,17 +481,17 @@ def _solve_window(
     rows) and the full-length ||x||, which needs only the exterior's norms.
     """
     ab = op.ab.astype(complex)
-    rhs = F.astype(complex)
-    for s in sides:
+    rhs = battery.F.astype(complex)
+    for s in battery.sides:
         ab[op.w, s.end] -= inv_h2 * inv_h2 * s.g_end
         rhs[s.end] += inv_h2 * s.y_end
     X, bound, x_sq = _solve_gated(DiscreteOperator(ab, op.kind, op.params), k2, rhs)
-    for s in sides:
+    for s in battery.sides:
         c = -inv_h2 * X[s.end]  # exterior solution: Y - c*g
         bound += s.y_res + inv_h2 * np.abs(X[s.end]) * s.g_res
         x_sq += np.maximum(s.y_sq - 2.0 * np.real(np.conj(c) * s.gy) + np.abs(c) ** 2 * s.g_sq, 0.0)
     _gate_residuals(
-        f"study ({op.kind}, {op.params})", bound, fnorm, np.sqrt(x_sq), n, op.inf_norm, k2
+        f"study ({op.kind}, {op.params})", bound, battery.fnorm, np.sqrt(x_sq), n, op.inf_norm, k2
     )
     return X
 
@@ -481,6 +538,14 @@ def study(
     its residual norms build the bound on each operator's full-system
     residual, gated at the same threshold.
 
+    With the default battery (test_functions None), the battery's part, the
+    window's rows, the column norms and both exterior solves, is kept for
+    the last BATTERY_CACHE_SIZE (grid, W) keys: BATTERY_CACHE_SIZE entries
+    of (b - a) x 3 floats plus O(1) per side.  A later study on the same grid
+    and window, whatever its profile values or alpha, then solves only its
+    W systems.  A custom battery is not kept: a content key would cost about
+    what it saves, and the caller may change its arrays.
+
     The identically-zero profile is rejected: its scaled family is free and
     eps-independent, so the dichotomy does not apply.
     """
@@ -501,21 +566,18 @@ def study(
 
     c = classify(profile, alpha, tol=1e-3)
 
-    if test_functions is None:
-        test_functions = default_test_functions(grid)
-    fs = [np.asarray(f, dtype=float) for f in test_functions]
-    if not fs:
-        raise InvalidInputError("study: test_functions must not be empty")
-    for i, f in enumerate(fs):
-        if f.shape != (grid.N,):
-            raise InvalidInputError(
-                f"study: test_functions[{i}] has shape {f.shape}, expected ({grid.N},)"
-            )
-        if not np.any(f):
-            raise InvalidInputError(f"study: test_functions[{i}] is identically zero")
+    if test_functions is not None:
+        fs = [np.asarray(f, dtype=float) for f in test_functions]
+        if not fs:
+            raise InvalidInputError("study: test_functions must not be empty")
+        for i, f in enumerate(fs):
+            if f.shape != (grid.N,):
+                raise InvalidInputError(
+                    f"study: test_functions[{i}] has shape {f.shape}, expected ({grid.N},)"
+                )
+            if not np.any(f):
+                raise InvalidInputError(f"study: test_functions[{i}] is identically zero")
 
-    F = np.column_stack(fs)
-    fnorm = np.sqrt(_sq_norms(F))
     x = grid.nodes()
     a, b = _window(profile, eps_arr[0], grid, x)
     ops = [_block(discretize_limit(c, grid), a, b)]  # the full-length build is dropped here
@@ -524,20 +586,19 @@ def study(
         ab[1] += _potential(profile, alpha, eps, grid, x[a:b])
         ops.append(DiscreteOperator(ab, KIND_SEPS, {"alpha": alpha, "eps": eps}))
 
+    if test_functions is None:
+        battery = _default_battery(grid, a, b)
+    else:
+        battery = _battery(grid, np.column_stack(fs), a, b)
     inv_h2 = 1.0 / (grid.h * grid.h)
-    sides = []
-    if a > 0:
-        sides.append(_solve_exterior(grid.h, DEFAULT_K2, F[:a], a - 1, 0))
-    if b < grid.N:
-        sides.append(_solve_exterior(grid.h, DEFAULT_K2, F[b:], 0, -1))
-    X0, *Xs = (_solve_window(op, DEFAULT_K2, F[a:b], sides, inv_h2, grid.N, fnorm) for op in ops)
+    X0, *Xs = (_solve_window(op, DEFAULT_K2, battery, inv_h2, grid.N) for op in ops)
     entries = []
     for eps, X in zip(eps_arr, Xs):
         dX = X - X0
         err_sq = _sq_norms(dX)
-        for s in sides:  # outside W the difference is -h^-2*dX_end*g
+        for s in battery.sides:  # outside W the difference is -h^-2*dX_end*g
             err_sq += (inv_h2 * np.abs(dX[s.end])) ** 2 * s.g_sq
-        entries.append((eps, float(np.max(np.sqrt(err_sq) / fnorm))))
+        entries.append((eps, float(np.max(np.sqrt(err_sq) / battery.fnorm))))
 
     if all(e > 1e-15 for _, e in entries):
         slope = np.polyfit(np.log([e for e, _ in entries]), np.log([r for _, r in entries]), 1)

@@ -32,7 +32,8 @@ from .errors import (
 from .profiles import PotentialProfile
 from .shooting import shoot, shoot_batch
 
-#: refined-root residual must satisfy |g(alpha)| <= RESIDUAL_SCALE * max(1, |u1|, |dv1|)
+#: refined-root residual must satisfy
+#: |g(alpha)| <= RESIDUAL_SCALE * max(1, |u1|, |dv1|) + |g'(alpha)| * ulp(alpha)
 RESIDUAL_SCALE = 1e-8
 
 DEFAULT_SCAN_STEP = 0.5
@@ -109,7 +110,10 @@ def _refine_and_package(profile, a, b, fa, fb) -> ResonantValue:
     theta and the residual are read from the refinement's own shoot at the
     root.  At a root u1*dv1 = 1, and the transfer matrix is accurate relative
     to its largest entry, so theta is u1 when |u1| >= 1 and 1/dv1 otherwise.
-    Raises NumericalFailureError when the refined root fails the root gate.
+    The nearest double to a root leaves |g| up to |g'|*ulp(alpha)/2 however
+    exact the shoot, so the root gate adds |g'|*ulp(alpha), with g' the
+    slope across the final bracket.  Raises NumericalFailureError when the
+    refined root fails the root gate.
     """
     shots = {}
     g = lambda x: shots.setdefault(x, shoot(profile, x, 0.0)).du1
@@ -118,11 +122,16 @@ def _refine_and_package(profile, a, b, fa, fb) -> ResonantValue:
     root, bracket = float(root), (float(bracket[0]), float(bracket[1]))
     fd = shots.get(root) or shoot(profile, root, 0.0)
     residual = abs(fd.du1)
+    lo, hi = bracket
+    known = {a: fa, b: fb}  # the bracket's ends are scan ends or refinement shoots
+    g_end = lambda x: shots[x].du1 if x in shots else known[x]
+    slope = abs(g_end(hi) - g_end(lo)) / (hi - lo) if hi > lo else 0.0
     # gating on |u1| and |dv1| treats a profile and its mirror (theta -> 1/theta) alike
-    if residual > RESIDUAL_SCALE * max(1.0, abs(fd.u1), abs(fd.dv1)):
+    gate = RESIDUAL_SCALE * max(1.0, abs(fd.u1), abs(fd.dv1)) + slope * np.spacing(abs(root))
+    if residual > gate:
         raise NumericalFailureError(
             f"resonance refinement at alpha={root} stalled: residual {residual:.3e} "
-            f"exceeds {RESIDUAL_SCALE:.0e}*max(1, |u1|, |dv1|)"
+            f"exceeds {gate:.3e} = {RESIDUAL_SCALE:.0e}*max(1, |u1|, |dv1|) + |g'|*ulp(alpha)"
         )
     theta = fd.u1 if abs(fd.u1) >= 1.0 else 1.0 / fd.dv1
     return ResonantValue(root, theta, residual, bracket)

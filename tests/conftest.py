@@ -1,6 +1,7 @@
 import pytest
 
 from deltaprime import builtin_profile
+from deltaprime.convergence import _default_battery
 
 
 @pytest.fixture(scope="session")
@@ -16,3 +17,12 @@ def step():
 @pytest.fixture(scope="session")
 def zero():
     return builtin_profile("zero")
+
+
+@pytest.fixture(autouse=True)
+def _fresh_battery_memo():
+    """Each test starts and ends with an empty study memo, so a test that spies
+    on or perturbs the exterior solves neither sees nor leaves a kept entry."""
+    _default_battery.cache_clear()
+    yield
+    _default_battery.cache_clear()

@@ -22,7 +22,7 @@ from deltaprime import (
     resolvent_apply,
     study,
 )
-from deltaprime.convergence import DiscreteOperator, default_test_functions
+from deltaprime.convergence import DEFAULT_EPS_LIST, DiscreteOperator, default_test_functions
 
 from oracles import dirichlet_laplacian_lowest_eigenvalue
 
@@ -639,3 +639,114 @@ def test_study_rejects_bad_battery(seba, corrupt, match):
     fs[1] = corrupt(fs[1])
     with pytest.raises(InvalidInputError, match=match):
         study(seba, 10.0, eps_list=(0.2, 0.1), grid=g, test_functions=fs)
+
+
+def _memo_grid(L=4.0, resolution=16):
+    return make_grid(min(DEFAULT_EPS_LIST), L=L, resolution=resolution)
+
+
+def _counting_solves(monkeypatch):
+    """Count solve_banded calls and exterior solves inside study."""
+    conv = deltaprime.convergence
+    counts = {"solve_banded": 0, "_solve_exterior": 0}
+
+    def counting(name):
+        real = getattr(conv, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(conv, name, counting(name))
+    return counts
+
+
+def test_study_warm_call_equals_cold_bit_for_bit(seba, step):
+    g = _memo_grid()
+    cold = study(seba, 18.1747, grid=g)
+    assert study(seba, 18.1747, grid=g) == cold
+    assert deltaprime.convergence._default_battery.cache_info().hits == 1
+    # another profile on the same support shares the grid, the window and the entry
+    off_cold = study(step, 100.3, grid=g)
+    deltaprime.convergence._default_battery.cache_clear()
+    study(seba, 18.1747, grid=g)
+    assert study(step, 100.3, grid=g) == off_cold
+    assert isinstance(off_cold.limit_kind, NonResonant)
+    assert isinstance(cold.limit_kind, Resonant)
+
+
+def test_study_warm_call_solves_only_its_windows(seba, monkeypatch):
+    g = _memo_grid()
+    study(seba, 18.1747, grid=g)
+    counts = _counting_solves(monkeypatch)
+    study(seba, 10.0, grid=g)
+    assert counts == {"solve_banded": len(DEFAULT_EPS_LIST) + 1, "_solve_exterior": 0}
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"grid": _memo_grid(L=5.0)},
+        {"grid": _memo_grid(resolution=20)},
+        {"eps_list": (0.4, *DEFAULT_EPS_LIST[1:])},
+    ],
+    ids=["L", "resolution", "eps_max"],
+)
+def test_study_memo_misses_on_another_grid_or_window(seba, monkeypatch, kwargs):
+    study(seba, 10.0, grid=_memo_grid())
+    counts = _counting_solves(monkeypatch)
+    study(seba, 10.0, **{"grid": _memo_grid(), **kwargs})
+    assert counts["_solve_exterior"] == 2
+    info = deltaprime.convergence._default_battery.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+
+
+def test_study_custom_battery_is_not_kept(seba, monkeypatch):
+    g = _memo_grid()
+    study(seba, 10.0, grid=g)
+    counts = _counting_solves(monkeypatch)
+    fs = default_test_functions(g)
+    rep = study(seba, 10.0, grid=g, test_functions=fs)
+    assert counts["_solve_exterior"] == 2
+    info = deltaprime.convergence._default_battery.cache_info()
+    assert (info.hits, info.currsize) == (0, 1)
+    assert rep == study(seba, 10.0, grid=g)
+
+
+def test_study_failed_exterior_is_not_kept(seba, monkeypatch):
+    g = _memo_grid()
+    conv = deltaprime.convergence
+    real = conv.solve_banded
+
+    def corrupting(lu, ab, b):
+        x = real(lu, ab, b)
+        x[:, 1] *= 1.0 + 1e-6
+        return x
+
+    monkeypatch.setattr(conv, "solve_banded", corrupting)
+    with pytest.raises(NumericalFailureError, match="column 1"):
+        study(seba, 10.0, grid=g)
+    assert conv._default_battery.cache_info().currsize == 0
+    monkeypatch.setattr(conv, "solve_banded", real)
+    counts = _counting_solves(monkeypatch)
+    study(seba, 10.0, grid=g)
+    assert counts["_solve_exterior"] == 2
+
+
+def test_study_kept_arrays_are_read_only(seba):
+    g = _memo_grid()
+    study(seba, 10.0, grid=g)
+    a, b = deltaprime.convergence._window(seba, DEFAULT_EPS_LIST[0], g, g.nodes())
+    battery = deltaprime.convergence._default_battery(g, a, b)
+    assert deltaprime.convergence._default_battery.cache_info().hits == 1
+    assert len(battery.sides) == 2
+    arrays = [battery.F, battery.fnorm]
+    for s in battery.sides:
+        arrays += [s.y_end, s.y_sq, s.gy, s.y_res]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0

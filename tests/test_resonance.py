@@ -1,5 +1,6 @@
 import warnings
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,18 +11,20 @@ from deltaprime import (
     NearTangencyWarning,
     NonResonant,
     NotResonantError,
+    NumericalFailureError,
     Resonant,
     classify,
     coupling,
     find_resonances,
     from_segments,
+    load_profile,
     moments,
     q_factor,
     shoot,
 )
 import deltaprime.resonance
 import deltaprime.shooting
-from deltaprime.resonance import _brackets_from_scan
+from deltaprime.resonance import RESIDUAL_SCALE, _brackets_from_scan
 from deltaprime.shooting import shoot_batch
 
 from oracles import step_resonance_alpha, step_resonance_theta
@@ -435,6 +438,28 @@ def test_tiny_theta_root_passes_mirror_symmetric_gate():
     for rv, rm in zip(direct, mirrored):
         assert rv.alpha == pytest.approx(rm.alpha, rel=1e-14, abs=0.0)
         assert rv.theta * rm.theta == pytest.approx(1.0, rel=1e-12)
+
+
+def test_root_gate_allows_for_the_rounding_of_alpha():
+    """d2-0's root near 405.924: g' ~ 9e12, so the nearest double leaves
+    |g| ~ 0.3, above the scale term 1e-8*max(1, |u1|, |dv1|) ~ 0.07 alone."""
+    profile = load_profile(Path(__file__).parent / "data" / "d2_0.json")
+    [rv] = find_resonances(profile, 400.0, 450.0)
+    assert rv.alpha == pytest.approx(405.924, abs=1e-3)
+    fd = shoot(profile, rv.alpha, 0.0)
+    assert rv.residual == abs(fd.du1)
+    scale = RESIDUAL_SCALE * max(1.0, abs(fd.u1), abs(fd.dv1))
+    lo, hi = rv.bracket
+    slope = abs(shoot(profile, hi, 0.0).du1 - shoot(profile, lo, 0.0).du1) / (hi - lo)
+    assert scale < rv.residual <= scale + slope * np.spacing(rv.alpha)
+
+
+def test_root_gate_rejects_a_sign_change_without_a_root(seba, monkeypatch):
+    """A jump of g is bracketed to xtol ~ 1e-13 at alpha ~ 1, where the
+    rounding term |g'|*ulp(alpha) stays far below the jump."""
+    _fake_g(monkeypatch, lambda a: np.where(np.asarray(a) < 1.0 + 1e-3, -1.0, 1.0))
+    with pytest.raises(NumericalFailureError, match="stalled"):
+        find_resonances(seba, 0.5, 1.5, 0.5)
 
 
 def _fake_g(monkeypatch, g):
