@@ -6,8 +6,10 @@ between nodes).  Its one representation for computing is its cell table
 propagator read only that, so no other module decodes the two formats.
 ``kind`` with ``segments`` or ``xi`` and ``psi`` stay as constructed and
 define equality and hash (samples by value), the mirror profile and the JSON
-format below.  Profiles evaluate to 0 outside their support and are
-immutable, cell table included, so they can be shared freely across threads.
+format below.  Profiles evaluate to 0 outside their support.  They are
+immutable apart from the propagator's node tables (``Cells.nodes``), which
+fill lazily and hold only alpha-independent data, so profiles can be shared
+across threads: a concurrent first build of a table only duplicates work.
 
 The JSON file format is::
 
@@ -23,7 +25,7 @@ Unknown keys are rejected.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -78,7 +80,10 @@ class Cells:
     form ``np.interp`` evaluates; the stretches outside the support are 0.
     ``constant`` is psi on a cell where it is constant and NaN elsewhere,
     ``peak`` a 9-point estimate of max|psi| per cell, and ``end`` psi at the
-    closed right end of the support.
+    closed right end of the support.  ``nodes`` holds the propagator's node
+    tables and the cell layout they are cut from, read-only arrays that
+    ``shooting`` builds on first use and keeps here, so they live and die
+    with the profile.
     """
 
     edges: np.ndarray
@@ -87,6 +92,7 @@ class Cells:
     constant: np.ndarray
     peak: np.ndarray
     end: float
+    nodes: dict = field(default_factory=dict, repr=False, compare=False)
 
     def values(self, rows, x):
         """psi at x on the cells ``rows`` (the two broadcast together)."""

@@ -112,29 +112,54 @@ def _refine_and_package(profile, a, b, fa, fb) -> ResonantValue:
     to its largest entry, so theta is u1 when |u1| >= 1 and 1/dv1 otherwise.
     The nearest double to a root leaves |g| up to |g'|*ulp(alpha)/2 however
     exact the shoot, so the root gate adds |g'|*ulp(alpha), with g' the
-    slope across the final bracket.  Raises NumericalFailureError when the
-    refined root fails the root gate.
+    slope across Brent's final bracket.  Brent stops once the bracket is
+    narrower than xtol, some ulps, so a root that fails the gate is retried
+    once: the bracket is bisected down to adjacent doubles, and the end with
+    the smaller |g| is taken.  Raises NumericalFailureError when that root
+    fails the gate too.
     """
     shots = {}
-    g = lambda x: shots.setdefault(x, shoot(profile, x, 0.0)).du1
+
+    def shot(x):  # one shoot per alpha
+        if x not in shots:
+            shots[x] = shoot(profile, x, 0.0)
+        return shots[x]
+
     xtol = max(1e-13, 8.0 * abs(0.5 * (a + b)) * np.finfo(float).eps)
-    root, _, bracket, _ = refine_bracket(g, a, b, fa, fb, xtol=xtol, max_iter=200)
-    root, bracket = float(root), (float(bracket[0]), float(bracket[1]))
-    fd = shots.get(root) or shoot(profile, root, 0.0)
+    root, _, (lo, hi), _ = refine_bracket(
+        lambda x: shot(x).du1, a, b, fa, fb, xtol=xtol, max_iter=200
+    )
+    root, lo, hi = float(root), float(lo), float(hi)
+    known = {a: fa, b: fb}  # the scanned ends, which refinement does not shoot
+    g = lambda x: known[x] if x in known else shot(x).du1
+    slope = abs(g(hi) - g(lo)) / (hi - lo) if hi > lo else 0.0
+
+    def gate(x):  # the root gate at x, with the slope across Brent's final bracket
+        fd = shot(x)
+        # gating on |u1| and |dv1| treats a profile and its mirror (theta -> 1/theta) alike
+        return RESIDUAL_SCALE * max(1.0, abs(fd.u1), abs(fd.dv1)) + slope * np.spacing(abs(x))
+
+    if abs(g(root)) > gate(root):
+        # Brent's bracket is some ulps wide and its end may lie ulps from the
+        # sign change, so close the bracket to adjacent doubles
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            g_mid = g(mid)
+            if g_mid == 0.0:
+                lo = hi = mid
+            elif (g_mid > 0.0) == (g(lo) > 0.0):
+                lo = mid
+            else:
+                hi = mid
+        root = lo if abs(g(lo)) <= abs(g(hi)) else hi
+    fd, limit = shot(root), gate(root)
     residual = abs(fd.du1)
-    lo, hi = bracket
-    known = {a: fa, b: fb}  # the bracket's ends are scan ends or refinement shoots
-    g_end = lambda x: shots[x].du1 if x in shots else known[x]
-    slope = abs(g_end(hi) - g_end(lo)) / (hi - lo) if hi > lo else 0.0
-    # gating on |u1| and |dv1| treats a profile and its mirror (theta -> 1/theta) alike
-    gate = RESIDUAL_SCALE * max(1.0, abs(fd.u1), abs(fd.dv1)) + slope * np.spacing(abs(root))
-    if residual > gate:
+    if residual > limit:
         raise NumericalFailureError(
             f"resonance refinement at alpha={root} stalled: residual {residual:.3e} "
-            f"exceeds {gate:.3e} = {RESIDUAL_SCALE:.0e}*max(1, |u1|, |dv1|) + |g'|*ulp(alpha)"
+            f"exceeds {limit:.3e} = {RESIDUAL_SCALE:.0e}*max(1, |u1|, |dv1|) + |g'|*ulp(alpha)"
         )
     theta = fd.u1 if abs(fd.u1) >= 1.0 else 1.0 / fd.dv1
-    return ResonantValue(root, theta, residual, bracket)
+    return ResonantValue(root, theta, residual, (lo, hi))
 
 
 def _roots(profile, lo, hi, step):

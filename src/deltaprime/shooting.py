@@ -13,6 +13,17 @@ per shoot.  The varying cells of an alpha share one n: each is cut into n
 equal steps, n a power of two of at least START_RESOLUTION * width *
 sqrt(|alpha|*peak + |kappa2|) on every varying cell (peak estimates max|psi|).
 
+A step's exponent is alpha times one factor plus kappa2 times another, and
+the factors depend only on the step (``_step_matrices``).  So for each n the
+varying cells have one node table, every step's width and its two factors,
+and the constant cells have one at n = 1.  A table is built on first use
+and kept read-only in the profile's ``Cells.nodes``: a search shoots one
+profile at one n many times (the scan, then Brent's shoots), and each
+shoot then evaluates no polynomial.  The tables live and die with their
+profile and hold nothing that depends on alpha or kappa2.  A table of more
+than MAX_STEPS steps is never built, and n doubles, so one profile keeps at
+most 2*MAX_STEPS steps x 3 float64 arrays, about 3 MiB.
+
 With P_n a cell's transfer matrix at n steps, R_n = P_n + (P_n - P_{n/2})/15
 is its Richardson value.  n doubles, per alpha, until every varying cell has
 |R_2n - R_n|/63 <= RTOL*max|R_2n| + ATOL; the Richardson value of the
@@ -50,8 +61,11 @@ MAX_STEPS = 2**16
 #: tight defaults fail there
 START_RESOLUTION = 8.0
 
-#: alpha*step matrices per block, and entries per (2, 2, alpha, cell) array: bounds memory
-BLOCK_ELEMENTS = 2**17
+#: alpha*step matrices per block, and entries per (2, 2, alpha, cell) array.  At
+#: 2**15 a block's (2, 2, alpha, step) array takes 1 MiB and each temporary
+#: 256 KiB, so a block stays in a 2 MiB L2 cache; at 2**17 (4 MiB, 1 MiB
+#: temporaries) it spills, and a 401-alpha scan of seba-quadratic takes 1.5x as long
+BLOCK_ELEMENTS = 2**15
 
 _GAUSS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 _COMMUTATOR = math.sqrt(3.0) / 12.0
@@ -81,29 +95,40 @@ class FundamentalData:
         return self.wronskian_defect / (scale * scale)
 
 
-def _step_matrices(alphas, kappa2, h, psi1, psi2):
+def _step_matrices(alphas, kappa2, h, a_h, c_h):
     """exp(Omega) of every step, as a (2, 2, alpha, step) array.
 
-    ``h``, ``psi1`` and ``psi2`` hold each step's width and psi at its two
-    Gauss nodes.  With p = alpha*psi - kappa2 the Magnus exponent is
-    Omega = [[a, h], [c, -a]], a = sqrt(3)/12 h^2 (p1 - p2),
-    c = h (p1 + p2)/2, and Omega^2 = (a^2 + h c) I.
+    ``h``, ``a_h`` and ``c_h`` are a node table (``_nodes``): each step's
+    width h and, with psi1 and psi2 psi at its two Gauss nodes,
+    a_h = sqrt(3)/12 h^2 (psi1 - psi2) and c_h = h (psi1 + psi2)/2.  The
+    Magnus exponent is Omega = [[a, h], [c, -a]] with a = alpha*a_h and
+    c = alpha*c_h - h*kappa2, and Omega^2 = s2 I, s2 = a^2 + h c.  Only the
+    cosh and sinh of the hyperbolic steps (s2 > 0) and the cos and sin of
+    the others are evaluated.
     """
     al = alphas[:, None]
-    a = al * (_COMMUTATOR * h * h * (psi1 - psi2))
-    c = al * (0.5 * h * (psi1 + psi2)) - h * kappa2
-    s2 = a * a + h * c
-    r = np.sqrt(np.abs(s2))
+    a = al * a_h
+    c = al * c_h
+    c -= h * kappa2
+    s2 = c * h
+    r = a * a
+    s2 += r  # a*a + h*c
     hyper = s2 > 0.0
-    cosine = np.where(hyper, np.cosh(r), np.cos(r))
-    sine = np.where(hyper, np.sinh(r), np.sin(r)) / r
-    sine[r == 0.0] = 1.0
-    sa = sine * a
+    trig = ~hyper
+    np.sqrt(np.abs(s2, out=r), out=r)
     m = np.empty((2, 2) + a.shape)
-    m[0, 0] = cosine + sa
-    m[0, 1] = sine * h
-    m[1, 0] = sine * c
-    m[1, 1] = cosine - sa
+    cosine, sine = m[1, 1], m[0, 1]
+    np.cosh(r, out=cosine, where=hyper)
+    np.cos(r, out=cosine, where=trig)
+    np.sinh(r, out=sine, where=hyper)
+    np.sin(r, out=sine, where=trig)
+    sine /= r
+    sine[r == 0.0] = 1.0
+    sa = np.multiply(sine, a, out=a)
+    np.add(cosine, sa, out=m[0, 0])
+    cosine -= sa
+    np.multiply(sine, c, out=m[1, 0])
+    sine *= h
     return m
 
 
@@ -123,28 +148,62 @@ def _tree_product(m, size=1):
     return m
 
 
-def _cell_matrices(cells: Cells, rows, alphas, kappa2, n: int):
-    """(2, 2, alpha, cell) transfer matrices of the cells ``rows``, each cut into n equal steps."""
-    out = np.empty((2, 2, alphas.size, rows.size))
-    if rows.size:
+def _read_only(arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+def _nodes(cells: Cells, varying: bool, n: int):
+    """The node table (h, a_h, c_h) of the varying or the constant cells, each cut into n steps.
+
+    Built on first use and kept read-only in ``cells.nodes``, keyed by
+    (varying, n), since it does not depend on alpha or kappa2.
+    """
+    table = cells.nodes.get((varying, n))
+    if table is None:
+        rows = _layout(cells)[0 if varying else 1]
         widths = np.diff(cells.edges)[rows]
         unit = ((np.arange(n)[:, None] + _GAUSS) / n).ravel()  # Gauss nodes of a unit cell
         psi = cells.values((rows, None), cells.edges[rows, None] + widths[:, None] * unit)
         h, psi = np.repeat(widths / n, n), psi.reshape(-1, 2)
-        block = max(1, BLOCK_ELEMENTS // h.size)
+        psi1, psi2 = psi[:, 0], psi[:, 1]
+        table = (h, _COMMUTATOR * h * h * (psi1 - psi2), 0.5 * h * (psi1 + psi2))
+        table = cells.nodes.setdefault((varying, n), _read_only(table))
+    return table
+
+
+def _layout(cells: Cells):
+    """Positions of the varying and the constant cells, and the varying cells' widths and peaks."""
+    layout = cells.nodes.get("layout")
+    if layout is None:
+        varying = np.isnan(cells.constant)
+        widths, peak = np.diff(cells.edges)[varying, None], cells.peak[varying, None]
+        layout = (np.flatnonzero(varying), np.flatnonzero(~varying), widths, peak)
+        layout = cells.nodes.setdefault("layout", _read_only(layout))
+    return layout
+
+
+def _cell_matrices(cells: Cells, varying: bool, alphas, kappa2, n: int):
+    """(2, 2, alpha, cell) transfer matrices of the varying or the constant cells, each cut into n steps."""
+    table = _nodes(cells, varying, n)
+    count = table[0].size // n
+    out = np.empty((2, 2, alphas.size, count))
+    if count:
+        block = max(1, BLOCK_ELEMENTS // table[0].size)
         for i in range(0, alphas.size, block):
-            m = _step_matrices(alphas[i : i + block], kappa2, h, psi[:, 0], psi[:, 1])
-            out[:, :, i : i + block] = _tree_product(m, rows.size)
+            m = _step_matrices(alphas[i : i + block], kappa2, *table)
+            out[:, :, i : i + block] = _tree_product(m, count)
     return out
 
 
-def _refine(cells: Cells, varying, alphas, kappa2, const, n: int):
+def _refine(cells: Cells, alphas, kappa2, const, n: int):
     """Richardson values of M at ``alphas`` from n steps per varying cell; ``const``: exact ones."""
-    rows = np.flatnonzero(varying)
+    rows, fixed = _layout(cells)[:2]
 
     def product(sel, p):  # M at the alphas ``sel`` from the varying cells' p
-        mats = np.empty(p.shape[:3] + varying.shape)
-        mats[..., ~varying], mats[..., varying] = const[:, :, sel], p
+        mats = np.empty(p.shape[:3] + cells.constant.shape)
+        mats[..., fixed], mats[..., rows] = const[:, :, sel], p
         m = _tree_product(mats)[..., 0]
         if not np.all(np.isfinite(m)):
             raise NumericalFailureError(
@@ -165,7 +224,7 @@ def _refine(cells: Cells, varying, alphas, kappa2, const, n: int):
                     f"RTOL*scale + ATOL = {bound[0, c]:.3e}; that cell may be at its rounding floor"
                 )
             raise NumericalFailureError(message)
-        p_n = _cell_matrices(cells, rows, alphas[idx], kappa2, n)
+        p_n = _cell_matrices(cells, True, alphas[idx], kappa2, n)
         if not rows.size:  # a product of exact steps
             return product(idx, p_n)
         r_n = None if p_prev is None else p_n + (p_n - p_prev) / 15.0
@@ -189,22 +248,26 @@ def _transfer(profile: PotentialProfile, alphas, kappa2):
     if not (np.all(np.isfinite(alphas)) and np.isfinite(kappa2)):
         raise NumericalFailureError("shoot: alpha and kappa2 must be finite")
     cells = profile.cells
-    varying = np.isnan(cells.constant)
-    widths, peak = np.diff(cells.edges)[varying, None], cells.peak[varying, None]
-    block = max(1, BLOCK_ELEMENTS // (4 * varying.size))
+    rows, fixed, widths, peak = _layout(cells)
+    block = max(1, BLOCK_ELEMENTS // (4 * cells.constant.size))
     out = np.empty((2, 2, alphas.size))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(0, alphas.size, block):
             part = alphas[i : i + block]
-            resolution = START_RESOLUTION * np.max(
-                widths * np.sqrt(np.abs(part) * peak + abs(kappa2)), axis=0, initial=0.0
-            )
-            # capped exponent: anything past MAX_STEPS fails before it is built
-            start = 2 ** np.ceil(np.log2(np.clip(resolution, 1.0, 2.0 * MAX_STEPS))).astype(int)
-            const = _cell_matrices(cells, np.flatnonzero(~varying), part, kappa2, 1)
-            for n in sorted(set(start.tolist())):  # alphas that start alike double together
-                idx = np.flatnonzero(start == n)
-                out[..., i + idx] = _refine(cells, varying, part[idx], kappa2, const[:, :, idx], n)
+            const = _cell_matrices(cells, False, part, kappa2, 1)
+            groups = [(1, slice(None))]  # with no varying cell every alpha takes one exact step
+            if rows.size:
+                resolution = START_RESOLUTION * np.max(
+                    widths * np.sqrt(np.abs(part) * peak + abs(kappa2)), axis=0
+                )
+                # capped exponent: anything past MAX_STEPS fails before it is built
+                start = 2 ** np.ceil(np.log2(np.clip(resolution, 1.0, 2.0 * MAX_STEPS))).astype(int)
+                # alphas that start alike double together
+                groups = [(n, np.flatnonzero(start == n)) for n in sorted(set(start.tolist()))]
+            for n, idx in groups:
+                out[:, :, i : i + block][..., idx] = _refine(
+                    cells, part[idx], kappa2, const[:, :, idx], n
+                )
     return out
 
 

@@ -580,3 +580,25 @@ def test_step_root_where_u1_rounds_to_zero(step):
     assert len(roots) == 1
     assert roots[0].alpha == pytest.approx(STEP_FAR_ALPHA, rel=1e-14)
     assert roots[0].theta == pytest.approx(STEP_FAR_THETA, rel=1e-10)
+
+
+#: the benchmark's generated degree-1 profile d1-0 (m0 = 0, m1 = -1)
+D1_0 = load_profile(Path(__file__).parent / "data" / "d1_0.json")
+
+
+def test_root_gate_retries_on_adjacent_doubles():
+    """d1-0's root at -702.41: Brent stops at a bracket ~11 ulps wide whose
+    returned end has |g| = 0.223 against a gate of 0.221 (0.245 against
+    0.216 on the mirror), while a double across the sign change has |g| =
+    0.028.  The bracket is closed to adjacent doubles and the better end taken."""
+    roots = []
+    for profile in (D1_0, D1_0.reflected()):
+        [rv] = find_resonances(profile, -710.0, -695.0)
+        lo, hi = rv.bracket
+        assert np.nextafter(lo, hi) == hi
+        ends = [abs(shoot(profile, x, 0.0).du1) for x in (lo, hi)]
+        assert rv.residual == abs(shoot(profile, rv.alpha, 0.0).du1) == min(ends)
+        roots.append(rv)
+    rv, rm = roots
+    assert rv.alpha == rm.alpha == pytest.approx(-702.4113852728974, abs=1e-12)
+    assert rv.theta * rm.theta == pytest.approx(1.0, rel=1e-7)

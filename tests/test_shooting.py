@@ -1,4 +1,7 @@
+import gc
+import json
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from deltaprime import (
     InvalidInputError,
     NumericalFailureError,
+    builtin_profile,
     find_resonances,
     from_samples,
     from_segments,
@@ -15,6 +19,7 @@ from deltaprime import (
     shoot,
 )
 from deltaprime import shooting
+from deltaprime.profiles import Cells
 from deltaprime.shooting import FundamentalData, shoot_batch
 
 from oracles import linear_boundary_data, step_boundary_data, step_resonance_alpha
@@ -158,9 +163,9 @@ def test_constant_piece_costs_one_step(step, monkeypatch):
     widths = []
     build = shooting._step_matrices
 
-    def counting(alphas, kappa2, h, psi1, psi2):
+    def counting(alphas, kappa2, h, a_h, c_h):
         widths.append(h)
-        return build(alphas, kappa2, h, psi1, psi2)
+        return build(alphas, kappa2, h, a_h, c_h)
 
     monkeypatch.setattr(shooting, "_step_matrices", counting)
     shoot(step, 37.0, 1.0)
@@ -243,8 +248,8 @@ def test_step_cap_message_gives_the_stalled_estimate(monkeypatch):
     built = []
     build = shooting._cell_matrices
 
-    def recording(cells, rows, alphas, kappa2, n):
-        built.append(build(cells, rows, alphas, kappa2, n))
+    def recording(cells, varying, alphas, kappa2, n):
+        built.append(build(cells, varying, alphas, kappa2, n))
         return built[-1]
 
     monkeypatch.setattr(shooting, "_cell_matrices", recording)
@@ -285,3 +290,91 @@ def test_rel_wronskian_defect_on_lattice(seba, step):
     for profile in (seba, step, quadratic):
         for a in alphas:
             assert _defect_over_u1_dv1(shoot(profile, a, 0.0)) <= 1e-12
+
+
+DATA = Path(__file__).parent / "data"
+
+#: reprs of (u1, du1, v1, dv1) per (alpha, kappa2), captured before the node
+#: tables came in; the arithmetic of every entry has stayed the same since
+SHOOT_GOLDEN = json.loads((DATA / "shoot_golden.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(SHOOT_GOLDEN["profiles"]))
+def test_shoot_matches_golden_bit_for_bit(name):
+    profile = load_profile(DATA / name) if name.endswith(".json") else builtin_profile(name)
+    rows = SHOOT_GOLDEN["profiles"][name]
+    for kappa2 in sorted({row[1] for row in rows}):
+        part = [row for row in rows if row[1] == kappa2]
+        alphas = [float(row[0]) for row in part]
+        batch = shoot_batch(profile, alphas, float(kappa2))
+        for i, row in enumerate(part):
+            fd = shoot(profile, alphas[i], float(kappa2))
+            assert [repr(fd.u1), repr(fd.du1), repr(fd.v1), repr(fd.dv1)] == row[2:]
+            assert [repr(float(entry[i])) for entry in batch] == row[2:]
+
+
+#: psi = -4*xi varies on the two cells between the constant ones
+MIXED_SAMPLES = ([-0.5, -0.25, 0.0, 0.25, 0.5], [1.0, 1.0, 0.0, -1.0, -1.0])
+
+
+def _node_tables(profile):
+    """The (varying, n) node tables a profile keeps."""
+    return {key: table for key, table in profile.cells.nodes.items() if isinstance(key, tuple)}
+
+
+def test_node_tables_are_read_only():
+    for profile in (builtin_profile("seba-quadratic"), from_samples(*MIXED_SAMPLES)):
+        shoot(profile, 57.3, 0.04)
+        assert _node_tables(profile)
+        for table in profile.cells.nodes.values():
+            assert not any(arr.flags.writeable for arr in table)
+
+
+def test_node_table_is_built_once_per_step_count(monkeypatch):
+    calls = []
+    values = Cells.values
+
+    def counting(self, rows, x):
+        calls.append(rows)
+        return values(self, rows, x)
+
+    monkeypatch.setattr(Cells, "values", counting)
+    for profile in (builtin_profile("seba-quadratic"), from_samples(*MIXED_SAMPLES)):
+        calls.clear()
+        shoot(profile, 57.3)
+        built = len(calls)
+        assert built == len(_node_tables(profile)) >= 3  # the constant cells and two levels
+        shoot(profile, 57.3)
+        shoot(profile, 57.3, 0.04)
+        shoot_batch(profile, [57.3, 57.3])
+        assert len(calls) == built
+        shoot_batch(profile, np.linspace(-200.0, 200.0, 41), 0.04)
+        assert len(calls) == len(_node_tables(profile)) > built  # new step counts only
+
+
+def test_warm_shoot_equals_cold():
+    alphas = [-150.3, -12.5, 0.0, 18.1746, 57.3, 199.0]
+    cold = [shoot(builtin_profile("seba-quadratic"), a, 0.04) for a in alphas]
+    warm = builtin_profile("seba-quadratic")
+    shoot_batch(warm, np.linspace(-200.0, 200.0, 81), 0.04)
+    assert [shoot(warm, a, 0.04) for a in alphas] == cold
+
+
+def test_profile_with_node_tables_is_collected():
+    profile = builtin_profile("seba-quadratic")
+    shoot_batch(profile, [-150.3, 57.3])
+    assert _node_tables(profile)
+    refs = (weakref.ref(profile), weakref.ref(profile.cells))
+    del profile
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_no_module_level_table_registry():
+    kept = (dict, list, set, weakref.WeakKeyDictionary, weakref.WeakValueDictionary)
+    registries = [
+        name
+        for name, value in vars(shooting).items()
+        if not name.startswith("__") and (isinstance(value, kept) or hasattr(value, "cache_info"))
+    ]
+    assert registries == []
