@@ -12,6 +12,13 @@ tol)`` is Resonant exactly when ``find_resonances(profile, alpha - tol,
 alpha + tol)`` is non-empty, with the theta of the root nearest alpha, and
 ``coupling`` returns u1 at alpha exactly when ``classify`` is Resonant.  The
 zero profile, whose g vanishes identically, reports only alpha = 0.
+
+The search decides on g over a uniform grid of scan_step cells: its sign
+changes are the brackets that Brent's method refines, and its dips warn.
+scan_step sets the resolution of those decisions, not the number of shoots.
+g is entire, so on a window of many cells most grid values come from
+Chebyshev interpolants of g, and only the values a decision reads are
+shoots (``_scan_values``); the decisions are those of a grid shot wholly.
 """
 
 from __future__ import annotations
@@ -39,7 +46,19 @@ RESIDUAL_SCALE = 1e-8
 DEFAULT_SCAN_STEP = 0.5
 DEFAULT_ALPHA_MIN = -200.0
 DEFAULT_ALPHA_MAX = 200.0
-MAX_SCAN_CELLS = 2**22  # a scan holds ~230 bytes per cell: about 1 GB at this limit
+#: a scan holds up to ~105 bytes per cell (tracemalloc at 2**20 cells): about 440 MB here
+MAX_SCAN_CELLS = 2**22
+
+#: degree of the Chebyshev interpolants that predict the scan (``_scan_values``)
+_CHEB_DEGREE = 32
+#: a piece's interpolant is kept only if its last four coefficients sum to less than
+#: this share of max|g| at its points
+_CHEB_TAIL = 1e-9
+#: a prediction's bound: this many times that sum, plus _CHEB_FLOOR * max|g|
+_CHEB_BOUND = 100.0
+_CHEB_FLOOR = 1e-13
+#: a piece is halved before it is shot while it holds more roots than this by estimate
+_CHEB_ROOTS = 8
 
 
 @dataclass(frozen=True)
@@ -66,12 +85,160 @@ Classification = Resonant | NonResonant
 
 
 def _scan_values(profile, alphas):
-    """g on the scan grid, from one ``shoot_batch`` call.
+    """g on the scan grid ``alphas``, a tight shoot wherever ``_brackets_from_scan`` reads it.
 
-    Every value is a tight-tolerance shoot, bit for bit what ``shoot`` gives
-    at that alpha, so refinement can start from the scanned bracket ends.
+    The grid's spacing, scan_step, is the resolution of the sign and dip
+    decisions, not a count of shoots.  Where g is predicted
+    (``_predicted_scan``), a wide grid costs a few interpolants and the
+    values the decisions read, and the brackets, the dips and the values
+    they read are those of the grid shot wholly tight.  A profile with no
+    varying cell makes every shoot one exact step per cell, so its grid,
+    like a grid of no more points than one interpolant shoots, takes one
+    ``shoot_batch`` call.  So does a prediction that meets a failing shoot:
+    the grid then fails as it would alone, or its tight values are returned.
     """
-    return [float(g) for g in shoot_batch(profile, alphas)[1]]
+    grid = np.asarray(alphas, dtype=float)
+    if grid.size > _CHEB_DEGREE + 1 and np.isnan(profile.cells.constant).any():
+        try:
+            return _predicted_scan(profile, grid)
+        except NumericalFailureError:
+            pass
+    return shoot_batch(profile, grid)[1]
+
+
+# near overflow a coefficient, a prediction or a difference may be inf or nan, and
+# each then fails its test: the piece is not kept, or it is voided
+@np.errstate(over="ignore", invalid="ignore")
+def _predicted_scan(profile, grid):
+    """g on ``grid`` from Chebyshev interpolants, with tight shoots where a decision reads it.
+
+    g is entire of order 1/2, so its Chebyshev coefficients on a window
+    decay super-geometrically (Trefethen, *Approximation Theory and
+    Approximation Practice*, SIAM 2013, ch. 8).  The grid is cut into
+    pieces, and each piece's g is interpolated at _CHEB_DEGREE + 1 Chebyshev
+    points, the first and last its end grid points; one ``shoot_batch`` call
+    per round shoots the points of every pending piece and the pending tight
+    values.  A piece is planned from its root count, the larger of one plus
+    the estimate from ``_weyl_rates`` and the sign changes seen: it is shot
+    tight on its whole grid when its grid has no more points than an
+    interpolant and both ends of each root's bracket would cost, it is
+    halved while it holds more than _CHEB_ROOTS roots, and it is
+    interpolated otherwise.  A piece whose last four coefficients sum to
+    _CHEB_TAIL of max|g| at its points or more is planned again as two
+    halves, each with as many roots as sign changes among its samples.
+
+    A prediction carries its piece's bound _CHEB_BOUND * tail + _CHEB_FLOOR
+    * max|g|.  A value is shot tight, bit for bit what ``shoot`` gives at
+    that alpha, wherever the bound leaves its sign open, at each bracket end
+    and on each triple that is, or within the bounds may be, a dip
+    (``_unresolved``); the other values decide as tight ones would.  A shoot
+    is accurate to about RTOL times the product of its cells' scales
+    (``shooting``), which the coefficients need not show, so every tight
+    value is checked against its piece's interpolant, and a piece that
+    misses its bound is shot tight on its whole grid.
+    """
+    n, count = grid.size, _CHEB_DEGREE + 1
+    g, err = np.full(n, np.nan), np.full(n, np.nan)  # err: 0 when tight, nan while unknown
+    pred, bound, piece = np.full(n, np.nan), np.full(n, np.nan), np.full(n, -1)
+    pieces, need = [], np.zeros(n, dtype=bool)
+    rate_pos, rate_neg = _weyl_rates(profile)
+
+    def plan(i, j, seen=0):  # queue grid[i:j] for interpolation, in halves, or for tight shoots
+        r = np.sqrt(np.maximum([grid[j - 1], grid[i], -grid[i], -grid[j - 1]], 0.0))
+        roots = max(seen, int(rate_pos * (r[0] - r[1]) + rate_neg * (r[2] - r[3])) + 1)
+        if j - i <= count + 2 * roots:  # an interpolant and each root's bracket cost more
+            need[i:j] = True
+        elif roots > _CHEB_ROOTS:
+            plan(i, (i + j) // 2)
+            plan((i + j) // 2, j)
+        else:
+            pieces.append((i, j))
+
+    plan(0, n)
+    t = -np.cos(np.pi * np.arange(count) / _CHEB_DEGREE)  # Chebyshev points from -1 up to 1
+    while pieces or need.any():
+        ends = [(grid[i], grid[j - 1]) for i, j in pieces]
+        inner = [0.5 * (a + b) + 0.5 * (b - a) * t[1:-1] for a, b in ends]
+        nodes = [np.concatenate(([a], x, [b])) for (a, b), x in zip(ends, inner)]
+        idx = np.flatnonzero(need)
+        shots = shoot_batch(profile, np.concatenate(nodes + [grid[idx]]))[1]
+        g[idx], err[idx], need[idx] = shots[len(nodes) * count :], 0.0, False
+        shot, pieces = pieces, []
+        for k, ((i, j), (a, b)) in enumerate(zip(shot, ends)):
+            v = shots[k * count : (k + 1) * count]
+            c = np.fft.rfft(np.concatenate((v[::-1], v[1:-1]))).real / _CHEB_DEGREE
+            c[0], c[-1] = 0.5 * c[0], 0.5 * c[-1]
+            scale, tail = np.max(np.abs(v)), np.sum(np.abs(c[-4:]))
+            fits = tail < _CHEB_TAIL * scale  # false for non-finite values
+            if fits:
+                p = np.polynomial.chebyshev.chebval((2.0 * grid[i:j] - (a + b)) / (b - a), c)
+                fits = np.all(np.isfinite(p))
+            if fits:
+                e = _CHEB_BOUND * tail + _CHEB_FLOOR * scale
+                g[i:j], err[i:j], pred[i:j], bound[i:j], piece[i:j] = p, e, p, e, i
+                g[[i, j - 1]], err[[i, j - 1]] = v[[0, -1]], 0.0
+            else:  # each half holds at most the sign changes among the samples
+                signs = np.sign(v)
+                seen = np.count_nonzero(signs[:-1] * signs[1:] < 0.0)
+                plan(i, (i + j) // 2, seen)
+                plan((i + j) // 2, j, seen)
+        # a tight value outside its piece's bound voids the piece's predictions
+        for i in np.unique(piece[(err == 0.0) & (np.abs(g - pred) > bound)]):
+            void = piece == i
+            need |= void & (err > 0.0)
+            pred[void] = bound[void] = np.nan
+        need |= _unresolved(grid, g, err)
+    return g
+
+
+def _weyl_rates(profile):
+    """(I+, I-): g has about I+ * sqrt(A) roots in [0, A] and I- * sqrt(A) in [-A, 0].
+
+    These are the Weyl asymptotics, I+ = (1/pi) * int sqrt(max(-psi, 0)) and
+    I- = (1/pi) * int sqrt(max(psi, 0)) (Atkinson & Mingarelli, J. reine
+    angew. Math. 375/376, 1987), as midpoint sums over 8 points per cell.
+    They only steer the cost of ``_predicted_scan``, never an answer.
+    """
+    cells = profile.cells
+    widths = np.diff(cells.edges)[:, None]
+    x = cells.edges[:-1, None] + widths * (np.arange(8) + 0.5) / 8.0
+    psi = cells.values((slice(None), None), x)
+    parts = (np.sqrt(np.maximum(sign * psi, 0.0)) * widths for sign in (-1.0, 1.0))
+    return tuple(np.sum(part) / (8.0 * np.pi) for part in parts)
+
+
+def _unresolved(alphas, g, err):
+    """Predicted grid values that ``_brackets_from_scan`` would read, or whose sign is open.
+
+    ``err`` is each value's bound: 0 for a tight value, nan for one not yet
+    known.  A triple is a possible dip unless the bounds rule a dip out.
+    """
+    need = np.abs(g) <= err
+    brackets, dips = _decisions(alphas, g, err)
+    left, right = brackets
+    need[left] = need[right] = True
+    for shift in (-1, 0, 1):
+        need[dips + shift] = True
+    return need & (err > 0.0)
+
+
+def _decisions(alphas, gvals, err=0.0):
+    """Brackets as (left, right) index arrays, and dips as an index array, in grid order.
+
+    With ``err`` each value is known to within +-err, and a dip is reported
+    wherever the bounds allow one.  See ``_brackets_from_scan``.
+    """
+    a, g = np.asarray(alphas, dtype=float), np.asarray(gvals, dtype=float)
+    s, m = np.sign(g), np.abs(g)
+    lo, hi = m - err, m + err
+    cross = s[:-1] * s[1:] < 0.0  # cell (i, i + 1)
+    around = np.zeros_like(cross)  # (i - 1, i + 1) around a grid zero
+    outer = s[:-2] * s[2:]
+    around[1:] = (s[1:-1] == 0.0) & (outer < 0.0)
+    dip = (outer > 0.0) & ~cross[1:] & (hi[:-2] > lo[1:-1]) & (lo[1:-1] < hi[2:])
+    dip &= (a[:-2] >= 0.0) | (a[2:] <= 0.0)
+    at = np.flatnonzero(cross | around)
+    return (at - around[at], at + 1), np.flatnonzero(dip) + 1
 
 
 def _brackets_from_scan(alphas, gvals):
@@ -91,17 +258,8 @@ def _brackets_from_scan(alphas, gvals):
     pair that shows no dip is still missed.  Identically-zero stretches (the
     zero profile) yield nothing.
     """
-    brackets, dips = [], []
-    s, mag = np.sign(gvals).tolist(), np.abs(gvals).tolist()
-    for i in range(len(alphas) - 1):
-        if s[i] * s[i + 1] < 0:
-            brackets.append((i, i + 1))
-        elif i > 0 and s[i] == 0 and s[i - 1] * s[i + 1] < 0:
-            brackets.append((i - 1, i + 1))
-        elif i > 0 and s[i - 1] == s[i + 1] != 0 and mag[i - 1] > mag[i] < mag[i + 1]:
-            if not alphas[i - 1] < 0.0 < alphas[i + 1]:
-                dips.append(i)
-    return brackets, dips
+    (left, right), dips = _decisions(alphas, gvals)
+    return list(zip(left.tolist(), right.tolist())), dips.tolist()
 
 
 def _refine_and_package(profile, a, b, fa, fb) -> ResonantValue:
@@ -165,8 +323,9 @@ def _refine_and_package(profile, a, b, fa, fb) -> ResonantValue:
 def _roots(profile, lo, hi, step):
     """The roots of g in [lo, hi]: the one search of ``find_resonances`` and ``classify``.
 
-    g is scanned by one ``shoot_batch`` call on max(1, round((hi - lo)/step))
-    uniform cells, and each sign change is refined by Brent's method.  A
+    g is scanned (``_scan_values``) on a grid of max(1, round((hi - lo)/step))
+    uniform cells, held as one array, and each sign change is refined by
+    Brent's method from the scanned ends and their tight values.  A
     window holding 0 gets alpha = 0 (resonant for every profile, theta = 1)
     analytically, skips |alpha| < step/2 (g's zero there is tangential for
     delta-prime-like profiles) and drops a bracket closing on 0, so the zero
@@ -185,7 +344,9 @@ def _roots(profile, lo, hi, step):
         )
     n_cells = max(1, int(round((hi - lo) / step)))
     has_zero = lo <= 0.0 <= hi
-    grid = [a for a in np.linspace(lo, hi, n_cells + 1) if not has_zero or abs(a) >= step / 2.0]
+    grid = np.linspace(lo, hi, n_cells + 1)
+    if has_zero:
+        grid = grid[np.abs(grid) >= step / 2.0]
     gvals = _scan_values(profile, grid)
     brackets, dips = _brackets_from_scan(grid, gvals)
     for i in dips:
@@ -195,7 +356,9 @@ def _roots(profile, lo, hi, step):
             NearTangencyWarning,
             stacklevel=3,
         )
-    refine = lambda i, j: _refine_and_package(profile, grid[i], grid[j], gvals[i], gvals[j])
+    refine = lambda i, j: _refine_and_package(
+        profile, float(grid[i]), float(grid[j]), float(gvals[i]), float(gvals[j])
+    )
     refined = (refine(i, j) for i, j in brackets)
     roots = (rv for rv in refined if not rv.bracket[0] <= 0.0 <= rv.bracket[1])
     zero = [ResonantValue(0.0, 1.0, 0.0, (-step / 2.0, step / 2.0))] if has_zero else []
@@ -210,8 +373,11 @@ def find_resonances(
 ) -> list[ResonantValue]:
     """All resonant couplings in [alpha_min, alpha_max], sorted ascending.
 
-    The roots ``_roots`` finds in cells about scan_step wide.  Roots in
-    different cells are all returned, however close.  A cell holding an even
+    The roots ``_roots`` finds in cells about scan_step wide.  scan_step is
+    the resolution of the sign and dip decisions below, not a count of
+    shoots: a wide window shoots a few Chebyshev points and the values the
+    decisions read (``_scan_values``).  Roots in different cells are all
+    returned, however close.  A cell holding an even
     number of roots shows no sign change.  |g| has no positive local minimum
     (Laguerre-Polya, see ``_brackets_from_scan``), so a dip in |g| without a
     sign change proves at least two roots between the dip's scan neighbours

@@ -52,6 +52,17 @@ def test_sampled_resonances_match_golden(capsys):
     assert out == (DATA / "seba_sampled_201_resonances_golden.txt").read_text()
 
 
+def test_wide_d2_0_resonances_match_golden(capsys):
+    # 28 roots over 4,001 scan points, most of them predicted by Chebyshev
+    # interpolants of g: the output equals a wholly tight scan's to the last digit
+    code, out, _ = invoke(
+        capsys, "resonances", "--profile", str(DATA / "d2_0.json"),
+        "--alpha-min", "-1000", "--alpha-max", "1000", "--format", "csv",
+    )
+    assert code == 0
+    assert out == (DATA / "d2_0_wide.csv").read_text()
+
+
 def test_converge_matches_golden(capsys):
     code, out, _ = invoke(capsys, "converge", "--builtin", "seba-quadratic", "--alpha", "18.1746")
     assert code == 0

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 from functools import lru_cache
 from pathlib import Path
@@ -22,6 +25,7 @@ from deltaprime import (
     q_factor,
     shoot,
 )
+import deltaprime
 import deltaprime.resonance
 import deltaprime.shooting
 from deltaprime.resonance import RESIDUAL_SCALE, _brackets_from_scan
@@ -198,22 +202,31 @@ def test_coupling_accepts_alpha_within_tol_of_zero(seba, step, alpha):
 
 
 def _generated_pc(seed):
-    """A seeded piecewise-constant delta-prime-like profile, m0 = 0 and m1 = -1.
+    """A seeded piecewise-constant delta-prime-like profile, m0 = 0 and m1 = -1."""
+    return _generated(seed, 0)
 
-    2-5 pieces at least 0.1 wide with normal values, shifted to m0 = 0 (which
-    keeps m1) and scaled to m1 = -1; draws with |m1| < 0.2 are redrawn.
+
+def _generated(seed, degree):
+    """A seeded piecewise-polynomial delta-prime-like profile, m0 = 0 and m1 = -1.
+
+    2-5 pieces at least 0.1 wide with normal coefficients, shifted to m0 = 0
+    (which keeps m1) and scaled to m1 = -1; draws with |m1| < 0.2 are redrawn.
     """
     rng = np.random.default_rng(seed)
+    powers = np.arange(degree + 1)
     while True:
         pieces = int(rng.integers(2, 6))
         edges = np.concatenate(([-1.0], np.sort(rng.uniform(-1.0, 1.0, pieces - 1)), [1.0]))
-        values = rng.normal(size=pieces)
-        m0 = np.sum(values * np.diff(edges))
-        m1 = np.sum(values * np.diff(edges**2)) / 2.0
+        coeffs = rng.normal(size=(pieces, degree + 1))
+        a, b = edges[:-1, None], edges[1:, None]
+        m0 = np.sum(coeffs * (b ** (powers + 1) - a ** (powers + 1)) / (powers + 1))
+        m1 = np.sum(coeffs * (b ** (powers + 2) - a ** (powers + 2)) / (powers + 2))
         if np.min(np.diff(edges)) >= 0.1 and abs(m1) >= 0.2:
             break
-    values = (values - m0 / 2.0) / -m1
-    return from_segments([(a, b, (float(v),)) for a, b, v in zip(edges[:-1], edges[1:], values)])
+    coeffs[:, 0] -= m0 / 2.0
+    coeffs /= -m1
+    rows = zip(edges[:-1], edges[1:], coeffs)
+    return from_segments([(a, b, tuple(c.tolist())) for a, b, c in rows])
 
 
 @lru_cache(maxsize=None)
@@ -602,3 +615,197 @@ def test_root_gate_retries_on_adjacent_doubles():
     rv, rm = roots
     assert rv.alpha == rm.alpha == pytest.approx(-702.4113852728974, abs=1e-12)
     assert rv.theta * rm.theta == pytest.approx(1.0, rel=1e-7)
+
+
+# --- the predicted scan ------------------------------------------------------
+
+DATA = Path(__file__).parent / "data"
+
+
+def _outcome(profile, lo, hi, step):
+    """find_resonances' roots with every field, or its error, and its warning texts."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        try:
+            roots = find_resonances(profile, lo, hi, step)
+            result = [(rv.alpha, rv.theta, rv.residual, rv.bracket) for rv in roots]
+        except NumericalFailureError as exc:
+            result = str(exc)
+    return result, [str(w.message) for w in record]
+
+
+def _tight_outcome(monkeypatch, profile, lo, hi, step):
+    """``_outcome`` with the whole scan grid shot tight by one ``shoot_batch``."""
+    with monkeypatch.context() as m:
+        m.setattr(deltaprime.resonance, "_scan_values", lambda p, alphas: shoot_batch(p, alphas)[1])
+        return _outcome(profile, lo, hi, step)
+
+
+def _counting_batch(monkeypatch):
+    """Record the alphas of every ``shoot_batch`` call the scan makes."""
+    calls = []
+
+    def counting(profile, alphas, *args, **kwargs):
+        calls.append(np.array(alphas, dtype=float))
+        return shoot_batch(profile, alphas, *args, **kwargs)
+
+    monkeypatch.setattr(deltaprime.resonance, "shoot_batch", counting)
+    return calls
+
+
+_NAMED = {
+    "seba": lambda: deltaprime.builtin_profile("seba-quadratic"),
+    "step": lambda: deltaprime.builtin_profile("step"),
+    "d1-0": lambda: load_profile(DATA / "d1_0.json"),
+    "d2-0": lambda: load_profile(DATA / "d2_0.json"),
+    "seba-sampled-201": lambda: load_profile(DATA / "seba_sampled_201.json"),
+}
+_WINDOWS = [(-300.0, 300.0, 0.5), (-50.0, 50.0, 0.05)]
+
+
+@pytest.mark.parametrize("window", _WINDOWS, ids=["wide", "fine"])
+@pytest.mark.parametrize(
+    "key",
+    list(_NAMED)
+    + [pytest.param((d, s), id=f"gen{d}-{s}") for d in range(3) for s in (100, 101, 102, 103)],
+)
+def test_predicted_scan_equals_a_tight_scan(key, window, monkeypatch):
+    # alpha, theta, residual, bracket, errors and warnings, bit for bit
+    profile = _NAMED[key]() if key in _NAMED else _generated(key[1], key[0])
+    assert _outcome(profile, *window) == _tight_outcome(monkeypatch, profile, *window)
+
+
+def test_predicted_scan_shoots_few_of_the_table6_grid(seba, monkeypatch):
+    calls = _counting_batch(monkeypatch)
+    roots = find_resonances(seba, 0.0, 200.0, 0.5)
+    assert [rv.alpha for rv in roots] == pytest.approx(TABLE_ALPHAS, abs=5e-4)
+    # one interpolant of 33 points, then both ends of each of the 4 brackets
+    assert [len(x) for x in calls] == [33, 8]
+
+
+def test_predicted_scan_warns_on_a_dip_as_a_tight_scan(monkeypatch):
+    # 81 scan points, more than one interpolant shoots, with the root pair
+    # 20.49, 23.84 inside one cell pair: the dip's triple is shot tight
+    profile = load_profile(DATA / "d1_0.json")
+    calls = _counting_batch(monkeypatch)
+    roots, warned = _outcome(profile, 0.0, 400.0, 5.0)
+    assert sum(len(x) for x in calls) < 81
+    assert np.all(np.isin([15.0, 20.0, 25.0], np.concatenate(calls)))
+    assert len(warned) == 1 and "alpha=20.0 " in warned[0]
+    assert (roots, warned) == _tight_outcome(monkeypatch, profile, 0.0, 400.0, 5.0)
+
+
+def _tight_grid(key, lo, hi, step):
+    """``_roots``' scan grid, the scan's values on it, and their tight shoots."""
+    grid = np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
+    grid = grid[np.abs(grid) >= step / 2.0]
+    profile = _NAMED[key]()
+    return grid, deltaprime.resonance._scan_values(profile, grid), shoot_batch(profile, grid)[1]
+
+
+@pytest.mark.parametrize(
+    "key, window",
+    [("seba", (0.0, 200.0, 0.5)), ("d1-0", (0.0, 400.0, 5.0)), ("d2-0", (-300.0, 300.0, 0.5))],
+)
+def test_scan_values_are_tight_where_a_decision_reads_them(key, window):
+    # bracket ends and dip triples are shoots, bit for bit, and every sign is right
+    grid, g, tight = _tight_grid(key, *window)
+    brackets, dips = _brackets_from_scan(grid, g)
+    read = [i for pair in brackets for i in pair] + [i + d for i in dips for d in (-1, 0, 1)]
+    assert len(read) > 0 and np.all(g[read] == tight[read])
+    assert np.all(np.sign(g) == np.sign(tight))
+    assert (brackets, dips) == _brackets_from_scan(grid, tight)
+
+
+def test_scan_values_are_tight_where_the_bound_leaves_the_sign_open(monkeypatch):
+    # a floor of 1e-5 of max|g| on one interpolant of seba on [0.5, 200]
+    # leaves 14 signs open, more than the 8 bracket ends
+    monkeypatch.setattr(deltaprime.resonance, "_CHEB_FLOOR", 1e-5)
+    calls = _counting_batch(monkeypatch)
+    grid, g, tight = _tight_grid("seba", 0.0, 200.0, 0.5)
+    assert [len(x) for x in calls[:2]] == [33, 74]
+    scale = np.max(np.abs(shoot_batch(_NAMED["seba"](), calls[0])[1]))
+    open_ = np.abs(tight) <= 1e-5 * scale
+    assert np.count_nonzero(open_) > 8 and np.all(g[open_] == tight[open_])
+
+
+def test_contradicted_bound_shoots_the_piece_tight(seba, monkeypatch):
+    # a bound far below the interpolant's true error: the first tight value,
+    # a bracket end, contradicts it, and the piece's whole grid is shot tight
+    monkeypatch.setattr(deltaprime.resonance, "_CHEB_BOUND", 0.0)
+    monkeypatch.setattr(deltaprime.resonance, "_CHEB_FLOOR", 1e-300)
+    calls = _counting_batch(monkeypatch)
+    outcome = _outcome(seba, 0.0, 200.0, 0.5)
+    grid = np.linspace(0.0, 200.0, 401)
+    assert np.all(np.isin(grid[grid >= 0.25], np.concatenate(calls)))
+    assert outcome == _tight_outcome(monkeypatch, seba, 0.0, 200.0, 0.5)
+
+
+def test_low_degree_interpolants_halve_down_to_tight_grids(seba, monkeypatch):
+    # at degree 4 no piece of [-50, 50] fits, so the pieces halve down to
+    # tight grids, with the same answers
+    monkeypatch.setattr(deltaprime.resonance, "_CHEB_DEGREE", 4)
+    calls = _counting_batch(monkeypatch)
+    outcome = _outcome(seba, -50.0, 50.0, 0.05)
+    assert len(calls) > 1
+    assert outcome == _tight_outcome(monkeypatch, seba, -50.0, 50.0, 0.05)
+
+
+def test_failing_prediction_falls_back_to_the_tight_grid(seba, monkeypatch):
+    # a shoot that fails off the scan grid, as a Chebyshev point past an
+    # overflow would: the grid is shot tight, and fails only as it would alone
+    grid = np.linspace(0.0, 200.0, 401)
+
+    def failing(profile, alphas, *args, **kwargs):
+        if not np.all(np.isin(alphas, grid)):
+            raise NumericalFailureError("shoot: failed off the grid")
+        return shoot_batch(profile, alphas, *args, **kwargs)
+
+    monkeypatch.setattr(deltaprime.resonance, "shoot_batch", failing)
+    outcome = _outcome(seba, 0.0, 200.0, 0.5)
+    assert len(outcome[0]) == 5
+    assert outcome == _tight_outcome(monkeypatch, seba, 0.0, 200.0, 0.5)
+
+
+def test_predicted_scan_near_overflow(seba, monkeypatch):
+    # |g| reaches 4e307 on [5.25e5, 5.35e5], and the interpolant's
+    # coefficients overflow: no warning, and the answers of a tight scan
+    window = (5.25e5, 5.35e5, 250.0)
+    roots, warned = _outcome(seba, *window)
+    assert warned == [] and len(roots) > 0
+    assert (roots, warned) == _tight_outcome(monkeypatch, seba, *window)
+
+
+def _brackets_by_loop(alphas, gvals):
+    """The scan decisions one grid index at a time, as a loop states them."""
+    brackets, dips = [], []
+    s, mag = np.sign(gvals).tolist(), np.abs(gvals).tolist()
+    for i in range(len(alphas) - 1):
+        if s[i] * s[i + 1] < 0:
+            brackets.append((i, i + 1))
+        elif i > 0 and s[i] == 0 and s[i - 1] * s[i + 1] < 0:
+            brackets.append((i - 1, i + 1))
+        elif i > 0 and s[i - 1] == s[i + 1] != 0 and mag[i - 1] > mag[i] < mag[i + 1]:
+            if not alphas[i - 1] < 0.0 < alphas[i + 1]:
+                dips.append(i)
+    return brackets, dips
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_brackets_from_scan_matches_a_loop(seed):
+    # random signs, magnitudes and exact zeros on grids that straddle 0 or not
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 60))
+    alphas = np.sort(rng.uniform(-3.0, 3.0 if seed % 2 else -0.1, n))
+    gvals = rng.choice([-1.0, 0.0, 1.0], n, p=[0.4, 0.2, 0.4]) * rng.integers(1, 4, n)
+    assert _brackets_from_scan(alphas, gvals) == _brackets_by_loop(alphas.tolist(), gvals)
+
+
+def test_scan_path_imports_no_scipy():
+    code = (
+        "import sys, deltaprime as dp;"
+        "dp.find_resonances(dp.builtin_profile('seba-quadratic'), 0, 200);"
+        "assert not any(m.startswith('scipy') for m in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(deltaprime.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
