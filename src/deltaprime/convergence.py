@@ -14,30 +14,28 @@ difference, and is reported as such.
 
 Every operator of a study differs from the free second difference only on a
 window W around the origin: the nodes where some scaled potential can be
-nonzero and the limit's interface rows, padded by two nodes.  So the two
-exterior blocks outside W are free rows by construction: they are built at
-their own length and solved once per study, for the battery and for the
-unit vector at their inner end, which gives the boundary Green's column g.
-Each operator then solves only its W system, whose end rows take the
-exterior as a Schur complement: -h^-4*g_end on the diagonal and
-h^-2*Y_end on the right-hand side (Y the exterior battery solution).  Outside
-W two solutions differ by a multiple of g, so the error norm is the W
-difference plus a rank-one tail per side, h^-2*|dX_end|*||g||, and no
-full-length solution is formed per operator.  Each sub-solve is solved and
-checked once, by the routine behind resolvent_apply, whose residual norms
-also bound the operator's full-system residual.
+nonzero and the limit's interface rows, padded by two nodes.  So each
+operator is built on W alone, by the row builders behind discretize_seps
+and discretize_limit, and the two exterior blocks outside W are free rows by
+construction: they are solved at their own length, for the battery and for
+the unit vector at their inner end, which gives the boundary Green's column
+g.  Each operator's W system takes the exterior as a Schur complement in
+its end rows: -h^-4*g_end on the diagonal and h^-2*Y_end on the right-hand
+side (Y the exterior battery solution).  Outside W two solutions differ by
+a multiple of g, so the error norm is the W difference plus a rank-one tail
+per side, h^-2*|dX_end|*||g||, and no full-length solution is formed per
+operator.  Each sub-solve is solved and checked once, by the routine behind
+resolvent_apply, whose residual norms also bound the operator's full-system
+residual.
 
-What a study takes from its battery (the window's rows of F, the full-grid
-column norms of F and the two exterior records) depends only on the grid,
-the battery and the window, not on the profile's values or alpha.  For the
-default battery it is therefore kept across calls, keyed on (grid, a, b)
-with W = [a, b), for the last BATTERY_CACHE_SIZE keys: a warm study builds
-no full-length battery and solves no exterior.  An entry holds (b - a) x m
-floats plus O(m) per side (m columns), every array read-only; an exterior
-that fails its gate raises before anything is stored.  A battery the caller
-passes is solved afresh on every call: keying it on content would hash the
-whole battery on every call, about as costly as the solve it saves, and
-the caller's arrays may change between calls.
+What a study takes from its battery default_test_functions(grid) (the
+window's rows of F, the full-grid column norms of F and the two exterior
+records) depends only on the grid and the window, not on the profile's
+values or alpha.  It is kept across calls, keyed on (grid, a, b) with
+W = [a, b), for the last BATTERY_CACHE_SIZE keys: a warm study solves no
+exterior and builds no N-row array but the grid's nodes.  An entry holds
+(b - a) x 3 floats plus O(1) per side, every array read-only; an exterior
+that fails its gate raises before anything is stored.
 """
 
 from __future__ import annotations
@@ -63,8 +61,12 @@ MIN_RESOLUTION = 16.0  # required nodes per eps half-width of the scaled potenti
 #: dominates the smallest default eps, so studies resolve much finer.
 STUDY_RESOLUTION = 128.0
 
-#: (grid, window) keys whose default-battery solves a study keeps
+#: (grid, window) keys whose battery solves a study keeps
 BATTERY_CACHE_SIZE = 4
+
+#: largest N a Grid accepts.  A cold study peaks at about 150 bytes per node plus
+#: 20 MB (tracemalloc, N = 204,800 to 819,200), so about 650 MB at this bound.
+MAX_GRID_NODES = 2**22
 
 KIND_SEPS = "scaled-potential"
 KIND_CONNECTED = "limit-connected"
@@ -75,8 +77,8 @@ KIND_DIRICHLET_PAIR = "limit-dirichlet-pair"
 class Grid:
     """Staggered uniform grid: N interior nodes on (-L, L), h = 2L/(N+1).
 
-    N must be even so the nodes are symmetric about 0 with the origin midway
-    between the two middle nodes.
+    N must be an even integer, so the nodes are symmetric about 0 with the
+    origin midway between the two middle nodes, and at most MAX_GRID_NODES.
     """
 
     L: float
@@ -85,11 +87,18 @@ class Grid:
     def __post_init__(self):
         if not (np.isfinite(self.L) and self.L > 1.0):
             raise InvalidInputError(f"grid: L must exceed 1, got {self.L}")
+        if not isinstance(self.N, (int, np.integer)):
+            raise InvalidInputError(f"grid: N must be an integer, got {self.N!r}")
         if self.N < 64:
             raise InvalidInputError(f"grid: N must be at least 64, got {self.N}")
         if self.N % 2 != 0:
             raise InvalidInputError(
                 f"grid: N must be even so that x=0 lies midway between nodes, got {self.N}"
+            )
+        if self.N > MAX_GRID_NODES:
+            raise InvalidInputError(
+                f"grid: N = {self.N} exceeds MAX_GRID_NODES = {MAX_GRID_NODES}; "
+                "coarsen the grid or raise the smallest eps"
             )
 
     @property
@@ -188,11 +197,6 @@ def solve_banded(l_and_u, ab, b):
     return solve(l_and_u, ab, b, overwrite_ab=True, overwrite_b=True)
 
 
-def _block(op: DiscreteOperator, lo: int, hi: int) -> DiscreteOperator:
-    """The principal submatrix of op on rows and columns lo..hi-1, as a copy."""
-    return DiscreteOperator(op.ab[:, lo:hi].copy(), op.kind, op.params)
-
-
 def _free_rows(n: int, h: float) -> np.ndarray:
     """Band array (w = 1) of the free second difference on n nodes."""
     inv_h2 = 1.0 / (h * h)
@@ -202,20 +206,23 @@ def _free_rows(n: int, h: float) -> np.ndarray:
     return ab
 
 
-def _potential(
-    profile: PotentialProfile, alpha: float, eps: float, grid: Grid, x: np.ndarray
-) -> np.ndarray:
-    """alpha*eps^-2*psi(x/eps) at nodes x of grid, after discretize_seps' checks."""
+def _seps_rows(
+    profile: PotentialProfile, alpha: float, eps: float, h: float, x: np.ndarray
+) -> DiscreteOperator:
+    """discretize_seps' rows and columns on the consecutive nodes x of spacing h,
+    after its checks."""
     if not (np.isfinite(eps) and eps > 0):
         raise InvalidInputError(f"discretize_seps: eps must be positive, got {eps}")
     if not np.isfinite(alpha):
         raise InvalidInputError(f"discretize_seps: alpha must be finite, got {alpha}")
-    if eps / grid.h < MIN_RESOLUTION:
+    if eps / h < MIN_RESOLUTION:
         raise InvalidInputError(
-            f"discretize_seps: eps/h = {eps / grid.h:.2f} is below the resolution "
+            f"discretize_seps: eps/h = {eps / h:.2f} is below the resolution "
             f"requirement {MIN_RESOLUTION}; refine the grid or increase eps"
         )
-    return (alpha / (eps * eps)) * profile.eval(x / eps)
+    ab = _free_rows(len(x), h)
+    ab[1] += (alpha / (eps * eps)) * profile.eval(x / eps)
+    return DiscreteOperator(ab, KIND_SEPS, {"alpha": alpha, "eps": eps})
 
 
 def discretize_seps(
@@ -225,30 +232,16 @@ def discretize_seps(
 
     Requires eps/h >= 16 so the scaled potential is resolved.
     """
-    potential = _potential(profile, alpha, eps, grid, grid.nodes())
-    ab = _free_rows(grid.N, grid.h)
-    ab[1] += potential
-    return DiscreteOperator(ab, KIND_SEPS, {"alpha": alpha, "eps": eps})
+    return _seps_rows(profile, alpha, eps, grid.h, grid.nodes())
 
 
-def discretize_limit(c: Classification, grid: Grid) -> DiscreteOperator:
-    """Matrix of the limit operator on the staggered grid.
-
-    NonResonant: two decoupled Dirichlet half-line blocks.  The boundary
-    x=0 sits half a cell beyond each interface node, handled by odd
-    reflection (diagonal 3/h^2, exact block separation).
-
-    Resonant(theta): the rows adjacent to 0 eliminate ghost values through
-    the interface conditions y(0+) = theta*y(0-), theta*y'(0+) = y'(0-);
-    traces at 0 are reconstructed to O(h^3) with three-point one-sided
-    stencils, giving an O(h) interface truncation error and a globally
-    second-order scheme.  theta = 1 is the free line and is represented
-    exactly by the unbroken stencil.
-    """
-    h = grid.h
+def _limit_rows(c: Classification, h: float, n: int, im: int) -> DiscreteOperator:
+    """discretize_limit's rows and columns on n consecutive nodes of spacing h,
+    of which im and im + 1 are the nodes at -h/2 and +h/2; the run must hold
+    im - 1 and im + 2."""
     inv_h2 = 1.0 / (h * h)
-    ab = _free_rows(grid.N, h)
-    im, ip = grid.interface
+    ab = _free_rows(n, h)
+    ip = im + 1
 
     if isinstance(c, NonResonant):
         ab[1, im] = ab[1, ip] = 3.0 * inv_h2
@@ -281,6 +274,23 @@ def discretize_limit(c: Classification, grid: Grid) -> DiscreteOperator:
     for (i, j), a in interface.items():
         ab[2 + i - j, j] = a * inv_h2
     return DiscreteOperator(ab, KIND_CONNECTED, {"theta": th})
+
+
+def discretize_limit(c: Classification, grid: Grid) -> DiscreteOperator:
+    """Matrix of the limit operator on the staggered grid.
+
+    NonResonant: two decoupled Dirichlet half-line blocks.  The boundary
+    x=0 sits half a cell beyond each interface node, handled by odd
+    reflection (diagonal 3/h^2, exact block separation).
+
+    Resonant(theta): the rows adjacent to 0 eliminate ghost values through
+    the interface conditions y(0+) = theta*y(0-), theta*y'(0+) = y'(0-);
+    traces at 0 are reconstructed to O(h^3) with three-point one-sided
+    stencils, giving an O(h) interface truncation error and a globally
+    second-order scheme.  theta = 1 is the free line and is represented
+    exactly by the unbroken stencil.
+    """
+    return _limit_rows(c, grid.h, grid.N, grid.interface[0])
 
 
 def _sq_norms(a: np.ndarray) -> np.ndarray:
@@ -452,20 +462,17 @@ class _Battery:
         _freeze_arrays(self)
 
 
-def _battery(grid: Grid, F: np.ndarray, a: int, b: int) -> _Battery:
-    """Reduce F to W = [a, b), solving and gating the exterior blocks outside W."""
+@lru_cache(maxsize=BATTERY_CACHE_SIZE)
+def _default_battery(grid: Grid, a: int, b: int) -> _Battery:
+    """default_test_functions(grid) reduced to W = [a, b), the exterior blocks
+    outside W solved and gated; kept across calls (module docstring)."""
+    F = np.column_stack(default_test_functions(grid))
     sides = []
     if a > 0:
         sides.append(_solve_exterior(grid.h, DEFAULT_K2, F[:a], a - 1, 0))
     if b < grid.N:
         sides.append(_solve_exterior(grid.h, DEFAULT_K2, F[b:], 0, -1))
     return _Battery(F[a:b].copy(), np.sqrt(_sq_norms(F)), tuple(sides))
-
-
-@lru_cache(maxsize=BATTERY_CACHE_SIZE)
-def _default_battery(grid: Grid, a: int, b: int) -> _Battery:
-    """_battery of default_test_functions(grid), kept across calls (module docstring)."""
-    return _battery(grid, np.column_stack(default_test_functions(grid)), a, b)
 
 
 def _solve_window(
@@ -516,35 +523,25 @@ def study(
     alpha: float,
     eps_list=DEFAULT_EPS_LIST,
     grid: Grid | None = None,
-    test_functions=None,
 ) -> ConvergenceReport:
     """Measure the resolvent-application error of the scaled operator family
     against its classified limit over a decreasing list of eps.
 
-    error(eps) = max over the test battery of
+    error(eps) = max over the battery default_test_functions(grid) of
     ||(S_eps - k2)^-1 f - (S_0 - k2)^-1 f||_2 / ||f||_2, k2 = DEFAULT_K2, in
     the mesh-weighted discrete L2 norm.  alpha is classified with tolerance
     1e-3 (couplings published to a few decimals snap to the refined root; the
     limit operator uses the root's theta).
 
-    All operators share the free rows outside the window W (module
-    docstring): W spans the nodes with x/eps_max in the profile's support
-    and the limit's interface rows, with a pad of two.  The
-    two exterior blocks are solved once, as one block each for the battery
-    and the boundary Green's column g; each operator then solves only its W
-    system with the Schur-corrected end rows, and the error adds to the W
-    difference the rank-one exterior tails h^-2*|dX_end|*||g||.  Each
-    sub-solve is solved and gated once by the routine behind resolvent_apply;
-    its residual norms build the bound on each operator's full-system
-    residual, gated at the same threshold.
-
-    With the default battery (test_functions None), the battery's part, the
-    window's rows, the column norms and both exterior solves, is kept for
-    the last BATTERY_CACHE_SIZE (grid, W) keys: BATTERY_CACHE_SIZE entries
-    of (b - a) x 3 floats plus O(1) per side.  A later study on the same grid
-    and window, whatever its profile values or alpha, then solves only its
-    W systems.  A custom battery is not kept: a content key would cost about
-    what it saves, and the caller may change its arrays.
+    Each operator is built and solved only on the window W: the nodes with
+    x/eps_max in the profile's support and the limit's interface rows, with
+    a pad of two.  The exterior blocks outside W are free rows, solved once
+    per (grid, W) for the battery and the boundary Green's column g and kept
+    for the last BATTERY_CACHE_SIZE keys; each W system takes them as a
+    Schur complement, and the error adds the rank-one exterior tails
+    h^-2*|dX_end|*||g|| (module docstring).  Each sub-solve is gated once by
+    the routine behind resolvent_apply, and its residual norms bound the
+    operator's full-system residual, gated at the same threshold.
 
     The identically-zero profile is rejected: its scaled family is free and
     eps-independent, so the dichotomy does not apply.
@@ -566,31 +563,13 @@ def study(
 
     c = classify(profile, alpha, tol=1e-3)
 
-    if test_functions is not None:
-        fs = [np.asarray(f, dtype=float) for f in test_functions]
-        if not fs:
-            raise InvalidInputError("study: test_functions must not be empty")
-        for i, f in enumerate(fs):
-            if f.shape != (grid.N,):
-                raise InvalidInputError(
-                    f"study: test_functions[{i}] has shape {f.shape}, expected ({grid.N},)"
-                )
-            if not np.any(f):
-                raise InvalidInputError(f"study: test_functions[{i}] is identically zero")
-
     x = grid.nodes()
     a, b = _window(profile, eps_arr[0], grid, x)
-    ops = [_block(discretize_limit(c, grid), a, b)]  # the full-length build is dropped here
-    for eps in eps_arr:
-        ab = _free_rows(b - a, grid.h)
-        ab[1] += _potential(profile, alpha, eps, grid, x[a:b])
-        ops.append(DiscreteOperator(ab, KIND_SEPS, {"alpha": alpha, "eps": eps}))
-
-    if test_functions is None:
-        battery = _default_battery(grid, a, b)
-    else:
-        battery = _battery(grid, np.column_stack(fs), a, b)
-    inv_h2 = 1.0 / (grid.h * grid.h)
+    h = grid.h
+    ops = [_limit_rows(c, h, b - a, grid.interface[0] - a)]
+    ops += [_seps_rows(profile, alpha, eps, h, x[a:b]) for eps in eps_arr]
+    battery = _default_battery(grid, a, b)
+    inv_h2 = 1.0 / (h * h)
     X0, *Xs = (_solve_window(op, DEFAULT_K2, battery, inv_h2, grid.N) for op in ops)
     entries = []
     for eps, X in zip(eps_arr, Xs):

@@ -69,6 +69,13 @@ def test_converge_matches_golden(capsys):
     assert out == (DATA / "converge_seba_golden.txt").read_text()
 
 
+def test_converge_dirichlet_pair_matches_golden(capsys):
+    # alpha = 10 is non-resonant: pins the Dirichlet-pair limit path end to end
+    code, out, _ = invoke(capsys, "converge", "--builtin", "seba-quadratic", "--alpha", "10")
+    assert code == 0
+    assert out == (DATA / "converge_seba_10_golden.txt").read_text()
+
+
 def test_byte_identical_reruns(capsys):
     args = ("resonances", "--builtin", "step", "--alpha-min", "-20",
             "--alpha-max", "20", "--format", "csv")
@@ -260,8 +267,12 @@ def test_shoot_csv_matches_closed_form(capsys):
         # refused before a 4e15-cell scan grid is built
         (("resonances", "--builtin", "seba-quadratic", "--alpha-min=-1e15", "--alpha-max=1e15"),
          "exceeds"),
+        # refused before a 5e12-node study grid is built
+        (("converge", "--builtin", "seba-quadratic", "--alpha", "10", "--eps-list", "0.2,1e-9"),
+         "exceeds MAX_GRID_NODES"),
     ],
-    ids=["finite-float", "eps-list", "theta-near-zero", "theta-zero-profile", "oversize-scan"],
+    ids=["finite-float", "eps-list", "theta-near-zero", "theta-zero-profile", "oversize-scan",
+         "oversize-grid"],
 )
 def test_argument_rejections_exit_2(capsys, argv, message):
     code, out, err = invoke(capsys, *argv)

@@ -22,7 +22,12 @@ from deltaprime import (
     resolvent_apply,
     study,
 )
-from deltaprime.convergence import DEFAULT_EPS_LIST, DiscreteOperator, default_test_functions
+from deltaprime.convergence import (
+    DEFAULT_EPS_LIST,
+    MAX_GRID_NODES,
+    DiscreteOperator,
+    default_test_functions,
+)
 
 from oracles import dirichlet_laplacian_lowest_eigenvalue
 
@@ -40,10 +45,24 @@ def test_grid_staggering():
     np.testing.assert_allclose(x, -x[::-1], atol=1e-14)
 
 
-@pytest.mark.parametrize("L,N", [(0.5, 128), (2.0, 32), (2.0, 65)])
+@pytest.mark.parametrize(
+    "L,N", [(0.5, 128), (2.0, 32), (2.0, 65), (2.0, 64.0), (2.0, MAX_GRID_NODES + 2)]
+)
 def test_grid_invariants(L, N):
     with pytest.raises(InvalidInputError):
         Grid(L=L, N=N)
+
+
+def test_study_refuses_an_oversize_grid_before_classifying(monkeypatch):
+    """Building a Grid allocates nothing, and study makes its grid first."""
+    assert Grid(L=2.0, N=MAX_GRID_NODES).N == MAX_GRID_NODES
+
+    def no_classify(*args, **kwargs):
+        raise AssertionError("classify ran before the grid was checked")
+
+    monkeypatch.setattr(deltaprime.convergence, "classify", no_classify)
+    with pytest.raises(InvalidInputError, match="MAX_GRID_NODES"):
+        study(builtin_profile("seba-quadratic"), 10.0, eps_list=(0.2, 1e-9))
 
 
 def test_make_grid_resolution():
@@ -283,16 +302,19 @@ def test_resolvent_solves_the_shifted_band_array(seba, monkeypatch, which):
     assert np.array_equal(x, scipy_solve_banded((w, w), shifted, F.astype(complex)))
 
 
-def test_block_is_the_principal_submatrix():
-    """Every block of the resonant limit, 1-row blocks and blocks cut through
-    the interface rows included."""
-    op = discretize_limit(Resonant(2.0), Grid(L=2.0, N=64))
-    dense = op.to_dense()
-    for lo in range(64):
-        for hi in range(lo + 1, 65):
-            np.testing.assert_array_equal(
-                deltaprime.convergence._block(op, lo, hi).to_dense(), dense[lo:hi, lo:hi]
-            )
+def test_window_limit_rows_are_the_principal_submatrix():
+    """study's limit rows on every window that holds im-1..ip+1, the reach of
+    the interface rows, equal that block of the whole-grid operator."""
+    g = Grid(L=2.0, N=64)
+    im, ip = g.interface
+    for c in (NonResonant(), Resonant(1.0), Resonant(2.0)):
+        full = discretize_limit(c, g)
+        dense = full.to_dense()
+        for lo in range(im):
+            for hi in range(ip + 2, g.N + 1):
+                op = deltaprime.convergence._limit_rows(c, g.h, hi - lo, im - lo)
+                assert (op.kind, op.params, op.w) == (full.kind, full.params, full.w)
+                np.testing.assert_array_equal(op.to_dense(), dense[lo:hi, lo:hi])
 
 
 def test_residual_norms_match_dense_residual():
@@ -570,8 +592,9 @@ def _equivalence_case(case):
 def test_study_matches_full_grid_algorithm(monkeypatch, case):
     profile, alpha, eps_list, grid, battery = _equivalence_case(case)
     grid = grid or make_grid(min(eps_list), L=8.0, resolution=32)
-    fs = battery(grid) if battery else None
-    want, c = _full_grid_study(profile, alpha, eps_list, grid, fs)
+    want, c = _full_grid_study(profile, alpha, eps_list, grid, battery(grid) if battery else None)
+    if battery:
+        monkeypatch.setattr(deltaprime.convergence, "default_test_functions", battery)
     calls = []
     real = deltaprime.convergence.solve_banded
 
@@ -580,7 +603,7 @@ def test_study_matches_full_grid_algorithm(monkeypatch, case):
         return real(lu, ab, b)
 
     monkeypatch.setattr(deltaprime.convergence, "solve_banded", spy)
-    rep = study(profile, alpha, eps_list=eps_list, grid=grid, test_functions=fs)
+    rep = study(profile, alpha, eps_list=eps_list, grid=grid)
     assert rep.limit_kind == c
     assert [e for e, _ in rep.entries] == list(eps_list)
     got = [r for _, r in rep.entries]
@@ -595,12 +618,6 @@ def test_study_matches_full_grid_algorithm(monkeypatch, case):
         assert calls == [grid.N] * (len(eps_list) + 1)
     else:
         assert len(calls) == 2 + len(eps_list) + 1
-
-
-def test_study_rejects_empty_battery(seba):
-    g = make_grid(0.1, L=20.0, resolution=16)
-    with pytest.raises(InvalidInputError, match="empty"):
-        study(seba, 10.0, eps_list=(0.2, 0.1), grid=g, test_functions=[])
 
 
 def test_study_checks_each_sub_solve_once(seba, monkeypatch):
@@ -622,23 +639,6 @@ def test_study_checks_each_sub_solve_once(seba, monkeypatch):
         monkeypatch.setattr(conv, name, counting(name))
     study(seba, 18.1746)
     assert counts == {"solve_banded": 7, "_residual_norms": 7}
-
-
-@pytest.mark.parametrize(
-    "corrupt,match",
-    [
-        (lambda f: f[:-1], r"test_functions\[1\] has shape"),
-        (lambda f: 0.0 * f, r"test_functions\[1\] is identically zero"),
-        (lambda f: np.where(np.arange(f.size) == 7, np.nan, f), "must be finite"),
-    ],
-    ids=["shape", "zero-column", "non-finite"],
-)
-def test_study_rejects_bad_battery(seba, corrupt, match):
-    g = make_grid(0.1, L=4.0, resolution=16)
-    fs = default_test_functions(g)
-    fs[1] = corrupt(fs[1])
-    with pytest.raises(InvalidInputError, match=match):
-        study(seba, 10.0, eps_list=(0.2, 0.1), grid=g, test_functions=fs)
 
 
 def _memo_grid(L=4.0, resolution=16):
@@ -686,6 +686,25 @@ def test_study_warm_call_solves_only_its_windows(seba, monkeypatch):
     assert counts == {"solve_banded": len(DEFAULT_EPS_LIST) + 1, "_solve_exterior": 0}
 
 
+@pytest.mark.parametrize("alpha", [18.1747, 10.0], ids=["resonant", "non-resonant"])
+def test_study_warm_call_builds_only_window_rows(seba, monkeypatch, alpha):
+    g = _memo_grid()
+    study(seba, alpha, grid=g)
+    conv = deltaprime.convergence
+    a, b = conv._window(seba, DEFAULT_EPS_LIST[0], g, g.nodes())
+    sizes = []
+    real = conv._free_rows
+
+    def spy(n, h):
+        sizes.append(n)
+        return real(n, h)
+
+    monkeypatch.setattr(conv, "_free_rows", spy)
+    study(seba, alpha, grid=g)
+    assert b - a < g.N
+    assert sizes == [b - a] * (len(DEFAULT_EPS_LIST) + 1)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -702,18 +721,6 @@ def test_study_memo_misses_on_another_grid_or_window(seba, monkeypatch, kwargs):
     assert counts["_solve_exterior"] == 2
     info = deltaprime.convergence._default_battery.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
-
-
-def test_study_custom_battery_is_not_kept(seba, monkeypatch):
-    g = _memo_grid()
-    study(seba, 10.0, grid=g)
-    counts = _counting_solves(monkeypatch)
-    fs = default_test_functions(g)
-    rep = study(seba, 10.0, grid=g, test_functions=fs)
-    assert counts["_solve_exterior"] == 2
-    info = deltaprime.convergence._default_battery.cache_info()
-    assert (info.hits, info.currsize) == (0, 1)
-    assert rep == study(seba, 10.0, grid=g)
 
 
 def test_study_failed_exterior_is_not_kept(seba, monkeypatch):
