@@ -3,8 +3,11 @@
 Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 4:
 inverse quadratic interpolation, or a secant step, where it lands well
 inside the bracket and shrinks faster than the step before last; bisection
-otherwise.  No step is shorter than xtol/2, so the bracket closes from both
-sides.  The iterate never leaves the bracket.
+otherwise.  No step is shorter than max(xtol/2, the spacing of doubles at
+the iterate toward the bracket's other end), so the bracket closes from both
+sides, and the search stops once the bracket is xtol wide or its ends are
+adjacent doubles: xtol=0 closes it to adjacent doubles.  Every iterate lies
+strictly inside the bracket, so f is never evaluated twice at one point.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ def refine_bracket(f, a, b, fa=None, fb=None, xtol=1e-10, max_iter=200):
     """Refine a sign-change bracket [a, b] of f.
 
     Returns (root, f(root), (a, b), n_evals): f changes sign across the final
-    bracket, of width at most xtol (or max_iter exhausted, whichever comes
-    first), and root is its end with the smaller |f|.  f(a) and f(b) must
-    have opposite signs; exact zeros are returned with a collapsed bracket.
+    bracket, of width at most xtol or of adjacent doubles (or max_iter
+    exhausted, whichever comes first), and root is its end with the smaller
+    |f|.  f(a) and f(b) must have opposite signs; exact zeros are returned
+    with a collapsed bracket.
     """
     if not a < b:
         raise ValueError(f"bracket requires a < b, got [{a}, {b}]")
@@ -34,14 +38,16 @@ def refine_bracket(f, a, b, fa=None, fb=None, xtol=1e-10, max_iter=200):
 
     # b is the best iterate and c the other end of the bracket; a is the
     # previous iterate, d the last step and e the one before it.
-    c, fc, d, e, tol = a, fa, b - a, b - a, 0.5 * xtol
+    c, fc, d, e = a, fa, b - a, b - a
     for it in range(max_iter + 1):
         if abs(fc) < abs(fb):
             a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
         if fb == 0.0:
             return b, fb, (b, b), n_evals
         m = 0.5 * (c - b)
-        if abs(c - b) <= xtol or it == max_iter:
+        # a step of the spacing toward c lands on the next double, inside the bracket
+        tol = max(0.5 * xtol, abs(math.nextafter(b, c) - b))
+        if abs(c - b) <= max(xtol, tol) or it == max_iter:
             break
         p = q = 0.0  # fails the acceptance test below, so a bisection
         if abs(e) >= tol and abs(fb) < abs(fa):

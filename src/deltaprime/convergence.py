@@ -381,7 +381,7 @@ class ConvergenceReport:
     """Per-eps resolvent-application errors and the fitted log-log rate."""
 
     entries: tuple[tuple[float, float], ...]  # (eps, error), eps decreasing
-    fitted_rate: float
+    fitted_rate: float = field(compare=False)  # a function of entries; NaN with no fit
     limit_kind: Classification
 
     @property

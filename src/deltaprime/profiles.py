@@ -2,8 +2,9 @@
 
 A profile is either piecewise polynomial or sampled (linear interpolation
 between nodes).  Its one representation for computing is its cell table
-(``Cells``), built on first use: ``eval``, ``moments``, ``is_zero`` and the
-propagator read only that, so no other module decodes the two formats.
+(``Cells``), built on first use, which also states which cells vary:
+``eval``, ``moments``, ``is_zero``, the scan and the propagator read only
+that, so no other module decodes the two formats.
 ``kind`` with ``segments`` or ``xi`` and ``psi`` stay as constructed and
 define equality and hash (samples by value), the mirror profile and the JSON
 format below.  Profiles evaluate to 0 outside their support.  They are
@@ -78,18 +79,17 @@ class Cells:
     t = x - origin[i].  A segment has origin 0 and its coefficients, padded
     with zeros; a node interval has its left node and (psi_i, slope_i), the
     form ``np.interp`` evaluates; the stretches outside the support are 0.
-    ``constant`` is psi on a cell where it is constant and NaN elsewhere,
-    ``peak`` a 9-point estimate of max|psi| per cell, and ``end`` psi at the
-    closed right end of the support.  ``nodes`` holds the propagator's node
-    tables and the cell layout they are cut from, read-only arrays that
-    ``shooting`` builds on first use and keeps here, so they live and die
-    with the profile.
+    ``varying`` holds the positions of the cells on which psi is not
+    constant, ``peak`` a 9-point estimate of max|psi| per cell, and ``end``
+    psi at the closed right end of the support.  ``nodes`` holds the
+    propagator's node tables, read-only arrays that ``shooting`` builds on
+    first use and keeps here, so they live and die with the profile.
     """
 
     edges: np.ndarray
     origin: np.ndarray
     coeffs: np.ndarray
-    constant: np.ndarray
+    varying: np.ndarray
     peak: np.ndarray
     end: float
     nodes: dict = field(default_factory=dict, repr=False, compare=False)
@@ -141,16 +141,16 @@ class PotentialProfile:
         pad = (int(edges[0] > -1.0), int(edges[-1] < 1.0))  # zero cells out to -1 and 1
         edges = np.concatenate(([-1.0] * pad[0], edges, [1.0] * pad[1]))
         origin, coeffs = np.pad(origin, pad), np.pad(coeffs, (pad, (0, 0)))
-        constant = np.where(np.pad(varying, pad), np.nan, coeffs[:, 0])
+        varying = np.flatnonzero(np.pad(varying, pad))
         nine = np.linspace(edges[:-1], edges[1:], 9, axis=-1)
         peak = np.max(np.abs(_horner(coeffs[:, None], nine - origin[:, None])), axis=-1)
-        for arr in (edges, origin, coeffs, constant, peak):
+        for arr in (edges, origin, coeffs, varying, peak):
             arr.flags.writeable = False
-        return Cells(edges, origin, coeffs, constant, peak, float(end))
+        return Cells(edges, origin, coeffs, varying, peak, float(end))
 
     @property
     def is_zero(self) -> bool:
-        return bool(np.all(self.cells.constant == 0.0))
+        return not self.cells.coeffs.any()
 
     def eval(self, x):
         """Evaluate the profile at x (scalar or ndarray); 0 outside support.
@@ -345,13 +345,13 @@ def profile_from_dict(data) -> PotentialProfile:
 
 
 def load_profile(path) -> PotentialProfile:
-    """Read and validate a profile JSON file."""
+    """Read and validate a UTF-8 profile JSON file; a read or decode error is InvalidInputError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"profile file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InvalidInputError(f"profile file {path}: invalid JSON ({exc})") from exc
     return profile_from_dict(data)
 

@@ -23,7 +23,6 @@ shoots (``_scan_values``); the decisions are those of a grid shot wholly.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -98,7 +97,7 @@ def _scan_values(profile, alphas):
     the grid then fails as it would alone, or its tight values are returned.
     """
     grid = np.asarray(alphas, dtype=float)
-    if grid.size > _CHEB_DEGREE + 1 and np.isnan(profile.cells.constant).any():
+    if grid.size > _CHEB_DEGREE + 1 and profile.cells.varying.size:
         try:
             return _predicted_scan(profile, grid)
         except NumericalFailureError:
@@ -266,15 +265,17 @@ def _refine_and_package(profile, a, b, fa, fb) -> ResonantValue:
     """Refine the scanned sign-change bracket [a, b] with g(a) = fa, g(b) = fb.
 
     theta and the residual are read from the refinement's own shoot at the
-    root.  At a root u1*dv1 = 1, and the transfer matrix is accurate relative
-    to its largest entry, so theta is u1 when |u1| >= 1 and 1/dv1 otherwise.
-    The nearest double to a root leaves |g| up to |g'|*ulp(alpha)/2 however
-    exact the shoot, so the root gate adds |g'|*ulp(alpha), with g' the
-    slope across Brent's final bracket.  Brent stops once the bracket is
-    narrower than xtol, some ulps, so a root that fails the gate is retried
-    once: the bracket is bisected down to adjacent doubles, and the end with
-    the smaller |g| is taken.  Raises NumericalFailureError when that root
-    fails the gate too.
+    root.  At a root u1*dv1 = 1, and each entry of the transfer matrix is
+    accurate to an absolute error that can exceed 1 where max|M| is large
+    (``shooting``), so theta is u1 when |u1| >= |dv1| and 1/dv1 otherwise:
+    the larger entry carries the smaller relative error.  The nearest double
+    to a root leaves |g| up to |g'|*ulp(alpha)/2 however exact the shoot, so
+    the root gate adds |g'|*ulp(alpha), with g' the slope across Brent's
+    first bracket.  Brent stops once the bracket is narrower than xtol, some
+    ulps, so a root that fails the gate is retried once: Brent's method
+    closes that bracket to adjacent doubles (``refine_bracket`` with xtol=0)
+    and takes the end with the smaller |g|.  Raises NumericalFailureError
+    when that root fails the gate too.
     """
     shots = {}
 
@@ -292,7 +293,7 @@ def _refine_and_package(profile, a, b, fa, fb) -> ResonantValue:
     g = lambda x: known[x] if x in known else shot(x).du1
     slope = abs(g(hi) - g(lo)) / (hi - lo) if hi > lo else 0.0
 
-    def gate(x):  # the root gate at x, with the slope across Brent's final bracket
+    def gate(x):  # the root gate at x, with the slope across Brent's first bracket
         fd = shot(x)
         # gating on |u1| and |dv1| treats a profile and its mirror (theta -> 1/theta) alike
         return RESIDUAL_SCALE * max(1.0, abs(fd.u1), abs(fd.dv1)) + slope * np.spacing(abs(x))
@@ -300,15 +301,7 @@ def _refine_and_package(profile, a, b, fa, fb) -> ResonantValue:
     if abs(g(root)) > gate(root):
         # Brent's bracket is some ulps wide and its end may lie ulps from the
         # sign change, so close the bracket to adjacent doubles
-        while lo < (mid := 0.5 * (lo + hi)) < hi:
-            g_mid = g(mid)
-            if g_mid == 0.0:
-                lo = hi = mid
-            elif (g_mid > 0.0) == (g(lo) > 0.0):
-                lo = mid
-            else:
-                hi = mid
-        root = lo if abs(g(lo)) <= abs(g(hi)) else hi
+        root, _, (lo, hi), _ = refine_bracket(g, lo, hi, g(lo), g(hi), xtol=0.0)
     fd, limit = shot(root), gate(root)
     residual = abs(fd.du1)
     if residual > limit:
@@ -316,7 +309,7 @@ def _refine_and_package(profile, a, b, fa, fb) -> ResonantValue:
             f"resonance refinement at alpha={root} stalled: residual {residual:.3e} "
             f"exceeds {limit:.3e} = {RESIDUAL_SCALE:.0e}*max(1, |u1|, |dv1|) + |g'|*ulp(alpha)"
         )
-    theta = fd.u1 if abs(fd.u1) >= 1.0 else 1.0 / fd.dv1
+    theta = fd.u1 if abs(fd.u1) >= abs(fd.dv1) else 1.0 / fd.dv1
     return ResonantValue(root, theta, residual, (lo, hi))
 
 
@@ -333,9 +326,9 @@ def _roots(profile, lo, hi, step):
     a window without 0.  A scan of more than MAX_SCAN_CELLS cells raises
     InvalidInputError before its grid is built.
 
-    Each dip warns before any refinement runs.  Returns a lazy iterator of
-    the roots in grid order, alpha = 0 last.  Brackets are disjoint and
-    their ends are not zeros, so the roots are distinct zeros.
+    Each dip warns before any refinement runs.  Returns a list of the roots
+    in grid order, alpha = 0 last.  Brackets are disjoint and their ends are
+    not zeros, so the roots are distinct zeros.
     """
     if (hi - lo) / step > MAX_SCAN_CELLS:
         raise InvalidInputError(
@@ -360,9 +353,9 @@ def _roots(profile, lo, hi, step):
         profile, float(grid[i]), float(grid[j]), float(gvals[i]), float(gvals[j])
     )
     refined = (refine(i, j) for i, j in brackets)
-    roots = (rv for rv in refined if not rv.bracket[0] <= 0.0 <= rv.bracket[1])
+    roots = [rv for rv in refined if not rv.bracket[0] <= 0.0 <= rv.bracket[1]]
     zero = [ResonantValue(0.0, 1.0, 0.0, (-step / 2.0, step / 2.0))] if has_zero else []
-    return itertools.chain(roots, zero)
+    return roots + zero
 
 
 def find_resonances(

@@ -8,8 +8,9 @@ exponential of a traceless 2x2 matrix, so every step is unimodular.  Step
 matrices form (alpha, step) arrays that are multiplied pairwise in a tree.
 
 [-1, 1] is split into the cells of the profile's cell table, on each of
-which psi is one polynomial.  A constant cell is one exact step, built once
-per shoot.  The varying cells of an alpha share one n: each is cut into n
+which psi is one polynomial, and the table lists the varying ones
+(``Cells.varying``).  A constant cell is one exact step, built once per
+shoot.  The varying cells of an alpha share one n: each is cut into n
 equal steps, n a power of two of at least START_RESOLUTION * width *
 sqrt(|alpha|*peak + |kappa2|) on every varying cell (peak estimates max|psi|).
 
@@ -162,7 +163,7 @@ def _nodes(cells: Cells, varying: bool, n: int):
     """
     table = cells.nodes.get((varying, n))
     if table is None:
-        rows = _layout(cells)[0 if varying else 1]
+        rows = cells.varying if varying else np.delete(np.arange(cells.peak.size), cells.varying)
         widths = np.diff(cells.edges)[rows]
         unit = ((np.arange(n)[:, None] + _GAUSS) / n).ravel()  # Gauss nodes of a unit cell
         psi = cells.values((rows, None), cells.edges[rows, None] + widths[:, None] * unit)
@@ -171,17 +172,6 @@ def _nodes(cells: Cells, varying: bool, n: int):
         table = (h, _COMMUTATOR * h * h * (psi1 - psi2), 0.5 * h * (psi1 + psi2))
         table = cells.nodes.setdefault((varying, n), _read_only(table))
     return table
-
-
-def _layout(cells: Cells):
-    """Positions of the varying and the constant cells, and the varying cells' widths and peaks."""
-    layout = cells.nodes.get("layout")
-    if layout is None:
-        varying = np.isnan(cells.constant)
-        widths, peak = np.diff(cells.edges)[varying, None], cells.peak[varying, None]
-        layout = (np.flatnonzero(varying), np.flatnonzero(~varying), widths, peak)
-        layout = cells.nodes.setdefault("layout", _read_only(layout))
-    return layout
 
 
 def _cell_matrices(cells: Cells, varying: bool, alphas, kappa2, n: int):
@@ -199,10 +189,13 @@ def _cell_matrices(cells: Cells, varying: bool, alphas, kappa2, n: int):
 
 def _refine(cells: Cells, alphas, kappa2, const, n: int):
     """Richardson values of M at ``alphas`` from n steps per varying cell; ``const``: exact ones."""
-    rows, fixed = _layout(cells)[:2]
+    rows, fixed = cells.varying, slice(None)  # with no varying cell every cell is constant
+    if rows.size:  # a mask of the constant cells
+        fixed = np.ones(cells.peak.size, dtype=bool)
+        fixed[rows] = False
 
     def product(sel, p):  # M at the alphas ``sel`` from the varying cells' p
-        mats = np.empty(p.shape[:3] + cells.constant.shape)
+        mats = np.empty(p.shape[:3] + cells.peak.shape)
         mats[..., fixed], mats[..., rows] = const[:, :, sel], p
         m = _tree_product(mats)[..., 0]
         if not np.all(np.isfinite(m)):
@@ -248,8 +241,8 @@ def _transfer(profile: PotentialProfile, alphas, kappa2):
     if not (np.all(np.isfinite(alphas)) and np.isfinite(kappa2)):
         raise NumericalFailureError("shoot: alpha and kappa2 must be finite")
     cells = profile.cells
-    rows, fixed, widths, peak = _layout(cells)
-    block = max(1, BLOCK_ELEMENTS // (4 * cells.constant.size))
+    rows = cells.varying
+    block = max(1, BLOCK_ELEMENTS // (4 * cells.peak.size))
     out = np.empty((2, 2, alphas.size))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(0, alphas.size, block):
@@ -257,6 +250,8 @@ def _transfer(profile: PotentialProfile, alphas, kappa2):
             const = _cell_matrices(cells, False, part, kappa2, 1)
             groups = [(1, slice(None))]  # with no varying cell every alpha takes one exact step
             if rows.size:
+                widths = (cells.edges[rows + 1] - cells.edges[rows])[:, None]
+                peak = cells.peak[rows, None]
                 resolution = START_RESOLUTION * np.max(
                     widths * np.sqrt(np.abs(part) * peak + abs(kappa2)), axis=0
                 )

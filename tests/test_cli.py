@@ -63,6 +63,17 @@ def test_wide_d2_0_resonances_match_golden(capsys):
     assert out == (DATA / "d2_0_wide.csv").read_text()
 
 
+def test_wide_d1_0_resonances_match_golden(capsys):
+    # 23 roots; the one at -702.4113852728974 fails the root gate on Brent's
+    # first bracket and is closed to adjacent doubles
+    code, out, _ = invoke(
+        capsys, "resonances", "--profile", str(DATA / "d1_0.json"),
+        "--alpha-min", "-1000", "--alpha-max", "1000", "--format", "csv",
+    )
+    assert code == 0
+    assert out == (DATA / "d1_0_wide.csv").read_text()
+
+
 def test_converge_matches_golden(capsys):
     code, out, _ = invoke(capsys, "converge", "--builtin", "seba-quadratic", "--alpha", "18.1746")
     assert code == 0
@@ -299,6 +310,19 @@ def test_invalid_input_exit_code(capsys):
     code, _, err = invoke(capsys, "moments", "--builtin", "gaussian")
     assert code == 2
     assert "unknown profile name" in err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [(b'{"segments": [\xff]}', "'utf-8' codec"), (b"[" * 200_000, "maximum recursion depth")],
+    ids=["not-utf8", "deep"],
+)
+def test_malformed_profile_file_exits_2(tmp_path, capsys, content, message):
+    path = tmp_path / "p.json"
+    path.write_bytes(content)
+    code, _, err = invoke(capsys, "moments", "--profile", str(path))
+    assert code == 2
+    assert f"profile file {path}: invalid JSON ({message}" in err
 
 
 def test_help_exits_zero(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -424,6 +425,14 @@ def test_study_alpha_zero_reproduces_free_line(seba):
     for _, err in rep.entries:
         assert err <= 1e-8  # S_eps at alpha=0 IS the free operator
     assert math.isnan(rep.fitted_rate)
+
+
+def test_free_study_equals_itself(seba):
+    # the rate is NaN at alpha = 0 and is derived from entries, so == skips it
+    rep = study(seba, 0.0)
+    assert math.isnan(rep.fitted_rate)
+    assert rep == study(seba, 0.0)
+    assert rep != dataclasses.replace(rep, entries=rep.entries[:-1])
 
 
 def _window_size(profile, eps_max, grid):

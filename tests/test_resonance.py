@@ -35,6 +35,13 @@ from oracles import step_resonance_alpha, step_resonance_theta
 
 TABLE_ALPHAS = [0.0, 18.1747, 57.1490, 117.4863, 199.1756]
 
+DATA = Path(__file__).parent / "data"
+#: the benchmark pool's generated profiles pc0 (piecewise constant), d1-0 and
+#: d2-0 (degrees 1 and 2), each with m0 = 0 and m1 = -1
+PC0 = load_profile(DATA / "pc0.json")
+D1_0 = load_profile(DATA / "d1_0.json")
+D2_0 = load_profile(DATA / "d2_0.json")
+
 
 @pytest.fixture(scope="module")
 def seba_scan(seba):
@@ -425,19 +432,14 @@ def test_tiny_theta_seba_mirror_classify_matches_golden(seba):
     assert c.theta == pytest.approx(1.0 / 755823.0, rel=1e-6)
 
 
-#: a generated piecewise-constant profile (m0 = 0, m1 = -1) with a tiny-theta
-#: root; the root and its coupling value theta = 1/v'(1) come from the closed
-#: form evaluated offline with mpmath at 50 digits
-PC0_SEGMENTS = (
-    (-1.0, -0.4676200826944217, (1.8783578559106588,)),
-    (-0.4676200826944217, 1.0, (-0.6813752494883338,)),
-)
+#: pc0's tiny-theta root; the root and its coupling value theta = 1/v'(1)
+#: come from the closed form evaluated offline with mpmath at 50 digits
 PC0_TINY_ALPHA = -186.5935435744515608274319
 PC0_TINY_THETA = -1.114185728078103264031722e-07
 
 
 def test_tiny_theta_root_passes_mirror_symmetric_gate():
-    profile = from_segments(PC0_SEGMENTS)
+    profile = PC0
     roots = find_resonances(profile, -190.0, -183.0)
     assert len(roots) == 1
     # |u1| ~ 1e-7 and |dv1| ~ 9e6 here: the residual 3e-8 is small only
@@ -595,18 +597,21 @@ def test_step_root_where_u1_rounds_to_zero(step):
     assert roots[0].theta == pytest.approx(STEP_FAR_THETA, rel=1e-10)
 
 
-#: the benchmark's generated degree-1 profile d1-0 (m0 = 0, m1 = -1)
-D1_0 = load_profile(Path(__file__).parent / "data" / "d1_0.json")
-
-
-def test_root_gate_retries_on_adjacent_doubles():
+def test_root_gate_retries_on_adjacent_doubles(monkeypatch):
     """d1-0's root at -702.41: Brent stops at a bracket ~11 ulps wide whose
     returned end has |g| = 0.223 against a gate of 0.221 (0.245 against
     0.216 on the mirror), while a double across the sign change has |g| =
-    0.028.  The bracket is closed to adjacent doubles and the better end taken."""
+    0.028.  Brent closes the bracket to adjacent doubles, shooting no alpha
+    twice, and the better end is taken."""
+    calls = []
+    monkeypatch.setattr(
+        deltaprime.resonance, "shoot", lambda *args: calls.append(args[1]) or shoot(*args)
+    )
     roots = []
     for profile in (D1_0, D1_0.reflected()):
+        calls.clear()
         [rv] = find_resonances(profile, -710.0, -695.0)
+        assert len(calls) == len(set(calls)) == 5
         lo, hi = rv.bracket
         assert np.nextafter(lo, hi) == hi
         ends = [abs(shoot(profile, x, 0.0).du1) for x in (lo, hi)]
@@ -617,9 +622,32 @@ def test_root_gate_retries_on_adjacent_doubles():
     assert rv.theta * rm.theta == pytest.approx(1.0, rel=1e-7)
 
 
-# --- the predicted scan ------------------------------------------------------
+#: theta at three roots of d2-0 where max|M| ~ 1e16, so that u1 and dv1 each
+#: carry an absolute error above 1; from 60-digit Taylor-series propagation
+#: with mpmath, offline, at the true roots
+D2_0_FAR_THETA = {
+    -969.8390314114904: -1.168775898338728296e-16,
+    -772.3861551881411: -2.261547735040127437e-15,
+    643.0978913105782: -7.121226389246146512e-18,
+}
+#: the same for pc0's root at -953.731
+PC0_FAR_THETA = {-953.7311093306816: -9.675306909298686624e-17}
 
-DATA = Path(__file__).parent / "data"
+
+@pytest.mark.parametrize(
+    "profile, alpha, theta",
+    [(D2_0, a, t) for a, t in D2_0_FAR_THETA.items()]
+    + [(PC0, a, t) for a, t in PC0_FAR_THETA.items()],
+    ids=["d2-0-a", "d2-0-b", "d2-0-c", "pc0"],
+)
+def test_theta_takes_the_larger_of_u1_and_dv1(profile, alpha, theta):
+    # u1's absolute error exceeds |theta| many times over here; 1/dv1's does not
+    [rv] = find_resonances(profile, alpha - 2.0, alpha + 2.0)
+    assert rv.alpha == pytest.approx(alpha, rel=1e-14)
+    assert rv.theta == pytest.approx(theta, rel=1e-9)
+
+
+# --- the predicted scan ------------------------------------------------------
 
 
 def _outcome(profile, lo, hi, step):

@@ -91,3 +91,42 @@ def test_returned_bracket_straddles_root(f, lo, hi, xtol):
         assert froot == 0.0
     else:
         assert math.copysign(1.0, f(a)) != math.copysign(1.0, f(b))
+
+
+def _sign_at_one(x):
+    return 1.0 if x >= 1.0 else -1.0
+
+
+ONE_BELOW = math.nextafter(1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi",
+    [
+        (lambda x: x * x - 2.0, 1.0, 2.0),
+        (lambda x: math.tanh(5 * (x - 0.7)), 0.0, 1.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: math.exp(x) - 1e3, -5.0, 20.0),
+        # the spacing of doubles halves below 1, so a step of the spacing
+        # above 1 would skip a double: it must land on the next one instead
+        (_sign_at_one, math.nextafter(ONE_BELOW, 0.0), 1.0 + 2.0**-52),
+        (_sign_at_one, 0.5, 1.0 + 2.0**-51),
+    ],
+)
+def test_zero_xtol_closes_to_adjacent_doubles(f, lo, hi):
+    seen = []
+
+    def g(x):
+        seen.append(x)
+        return f(x)
+
+    root, froot, (a, b), n = refine_bracket(g, lo, hi, xtol=0.0)
+    assert n == len(seen) == len(set(seen))  # never twice at one point
+    if a == b:
+        assert froot == 0.0
+        return
+    assert math.nextafter(a, b) == b
+    assert math.copysign(1.0, f(a)) != math.copysign(1.0, f(b))
+    assert root in (a, b) and abs(froot) == min(abs(f(a)), abs(f(b)))
+    if f is _sign_at_one:
+        assert (a, b) == (ONE_BELOW, 1.0)
