@@ -23,7 +23,9 @@ profile at one n many times (the scan, then Brent's shoots), and each
 shoot then evaluates no polynomial.  The tables live and die with their
 profile and hold nothing that depends on alpha or kappa2.  A table of more
 than MAX_STEPS steps is never built, and n doubles, so one profile keeps at
-most 2*MAX_STEPS steps x 3 float64 arrays, about 3 MiB.
+most 2*MAX_STEPS steps of its varying cells and one per constant cell, x 3
+float64 arrays: about 3 MiB.  The concatenated tables of a fused pass (below)
+are built per call, at most FUSE_ELEMENTS steps, and not kept.
 
 With P_n a cell's transfer matrix at n steps, R_n = P_n + (P_n - P_{n/2})/15
 is its Richardson value.  n doubles, per alpha, until every varying cell has
@@ -34,6 +36,16 @@ growth in one cell is followed by decay in another, a test on M alone would
 ask a cell for accuracy below its rounding floor.  More than MAX_STEPS
 steps, or a non-finite state, raises NumericalFailureError; past MAX_STEPS
 the message gives the worst cell's last estimate and the bound it failed.
+
+Every alpha needs the levels n, 2n and 4n before its first estimate.  A call
+of at most FUSE_ELEMENTS steps x alphas over the three, such as a single
+shoot, builds them in one pass: one ``_step_matrices`` call over their node
+tables concatenated finest first, then one tree (``_level_products``) that
+takes each level out when it is down to one entry per cell.  Each level is a
+power of two, so every pair lies in one cell of one level and each entry has
+the arithmetic of a level built alone, bit for bit.  Levels past 4n and the
+levels of a larger call, whose arrays gain nothing from one pass, are built
+one at a time; no level past MAX_STEPS is built.
 
 Everything downstream (resonance detection, the coupling ratio, scattering
 coefficients) consumes only the boundary values returned here.
@@ -68,6 +80,14 @@ START_RESOLUTION = 8.0
 #: temporaries) it spills, and a 401-alpha scan of seba-quadratic takes 1.5x as long
 BLOCK_ELEMENTS = 2**15
 
+#: steps x alphas up to which a shoot builds its first three doubling levels
+#: in one pass.  Below it a level is overhead-bound (about 20 ufunc calls plus
+#: a tree of products for a few thousand entries), and one pass makes a warm
+#: tight shoot about 30% faster; above it one pass saves no arithmetic, and its
+#: larger arrays cost page faults: a fused 8-alpha seba-quadratic batch (7,168
+#: entries) took 80 minor faults per call and was no faster
+FUSE_ELEMENTS = 2**12
+
 _GAUSS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 _COMMUTATOR = math.sqrt(3.0) / 12.0
 
@@ -96,8 +116,8 @@ class FundamentalData:
         return self.wronskian_defect / (scale * scale)
 
 
-def _step_matrices(alphas, kappa2, h, a_h, c_h):
-    """exp(Omega) of every step, as a (2, 2, alpha, step) array.
+def _step_matrices(alphas, kappa2, h, a_h, c_h, m):
+    """exp(Omega) of every step, written into and returned as m, a (2, 2, alpha, step) array.
 
     ``h``, ``a_h`` and ``c_h`` are a node table (``_nodes``): each step's
     width h and, with psi1 and psi2 psi at its two Gauss nodes,
@@ -105,19 +125,20 @@ def _step_matrices(alphas, kappa2, h, a_h, c_h):
     Magnus exponent is Omega = [[a, h], [c, -a]] with a = alpha*a_h and
     c = alpha*c_h - h*kappa2, and Omega^2 = s2 I, s2 = a^2 + h c.  Only the
     cosh and sinh of the hyperbolic steps (s2 > 0) and the cos and sin of
-    the others are evaluated.
+    the others are evaluated.  Two entries of m hold s2 and sqrt|s2| until
+    they are written, so a call allocates only two float (alpha, step) arrays.
     """
     al = alphas[:, None]
     a = al * a_h
     c = al * c_h
     c -= h * kappa2
-    s2 = c * h
-    r = a * a
+    s2, r = m[0, 0], m[1, 0]  # scratch until the entries are written
+    np.multiply(c, h, out=s2)
+    np.multiply(a, a, out=r)
     s2 += r  # a*a + h*c
     hyper = s2 > 0.0
     trig = ~hyper
     np.sqrt(np.abs(s2, out=r), out=r)
-    m = np.empty((2, 2) + a.shape)
     cosine, sine = m[1, 1], m[0, 1]
     np.cosh(r, out=cosine, where=hyper)
     np.cos(r, out=cosine, where=trig)
@@ -135,18 +156,40 @@ def _step_matrices(alphas, kappa2, h, a_h, c_h):
 
 def _matmul(left, right):
     """2x2 products over the trailing axes of (2, 2, ...) arrays."""
-    return left[:, :1] * right[:1] + left[:, 1:] * right[1:]
+    out = left[:, :1] * right[:1]
+    out += left[:, 1:] * right[1:]
+    return out
 
 
-def _tree_product(m, size=1):
-    """Ordered product M[n-1] ... M[1] M[0] along the last axis, pairwise, to ``size`` entries."""
-    while m.shape[-1] > size:
+def _tree_product(m):
+    """Ordered product M[n-1] ... M[1] M[0] along the last axis, pairwise."""
+    while m.shape[-1] > 1:
         even = m.shape[-1] & ~1
         paired = _matmul(m[..., 1:even:2], m[..., 0:even:2])
         if even < m.shape[-1]:  # an odd step out waits for the next level
             paired = np.concatenate((paired, m[..., even:]), axis=-1)
         m = paired
     return m
+
+
+def _level_products(m, count, n):
+    """The (2, 2, alpha, cell) products of fused levels, coarsest level first.
+
+    m holds the levels' steps along its last axis, finest level first: the
+    coarsest has ``count`` cells of n steps, n a power of two, and each level
+    before it twice the steps of the next.  So every pair formed lies in one
+    cell of one level, each product has ``_tree_product``'s arithmetic bit for
+    bit, and a level is taken out when it is down to one entry per cell.
+    """
+    products = []
+    while True:
+        if n == 1:
+            cut = m.shape[-1] - count
+            products.append(m[..., cut:])
+            if not cut:
+                return products
+            m, n = m[..., :cut], 2
+        m, n = _matmul(m[..., 1::2], m[..., 0::2]), n // 2
 
 
 def _read_only(arrays):
@@ -174,16 +217,28 @@ def _nodes(cells: Cells, varying: bool, n: int):
     return table
 
 
-def _cell_matrices(cells: Cells, varying: bool, alphas, kappa2, n: int):
-    """(2, 2, alpha, cell) transfer matrices of the varying or the constant cells, each cut into n steps."""
-    table = _nodes(cells, varying, n)
-    count = table[0].size // n
-    out = np.empty((2, 2, alphas.size, count))
-    if count:
-        block = max(1, BLOCK_ELEMENTS // table[0].size)
-        for i in range(0, alphas.size, block):
-            m = _step_matrices(alphas[i : i + block], kappa2, *table)
-            out[:, :, i : i + block] = _tree_product(m, count)
+def _cell_matrices(cells: Cells, varying: bool, alphas, kappa2, n: int, levels: int = 1):
+    """(2, 2, alpha, cell) transfer matrices of the varying or the constant
+    cells, each cut into n, 2n, ... 2**(levels-1)*n steps: one per level, from n up.
+
+    The levels share one ``_step_matrices`` call per block, over their node
+    tables concatenated finest first, and every block writes into one buffer.
+    """
+    tables = [_nodes(cells, varying, n << k) for k in reversed(range(levels))]
+    table = tables[0] if levels == 1 else tuple(map(np.concatenate, zip(*tables)))
+    count = tables[-1][0].size // n
+    if not count:
+        return [np.empty((2, 2, alphas.size, 0))] * levels
+    block = max(1, BLOCK_ELEMENTS // table[0].size)
+    m = np.empty((2, 2, min(block, alphas.size), table[0].size))
+    if alphas.size <= block:
+        return _level_products(_step_matrices(alphas, kappa2, *table, m), count, n)
+    out = [np.empty((2, 2, alphas.size, count)) for _ in range(levels)]
+    for i in range(0, alphas.size, block):
+        part = alphas[i : i + block]
+        steps = _step_matrices(part, kappa2, *table, m[:, :, : part.size])
+        for o, p in zip(out, _level_products(steps, count, n)):
+            o[:, :, i : i + block] = p
     return out
 
 
@@ -198,15 +253,21 @@ def _refine(cells: Cells, alphas, kappa2, const, n: int):
         mats = np.empty(p.shape[:3] + cells.peak.shape)
         mats[..., fixed], mats[..., rows] = const[:, :, sel], p
         m = _tree_product(mats)[..., 0]
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise NumericalFailureError(
                 f"shoot: non-finite state at kappa2={kappa2}, "
                 f"alpha in [{alphas[sel].min()}, {alphas[sel].max()}]"
             )
         return m
 
+    if not rows.size:  # a product of exact steps
+        return product(slice(None), np.empty((2, 2, alphas.size, 0)))
     out, idx = np.empty((2, 2, alphas.size)), np.arange(alphas.size)
     p_prev = r_prev = estimate = bound = None
+    first = []  # levels built ahead: every alpha needs n, 2n and 4n
+    if 7 * n * rows.size * alphas.size <= FUSE_ELEMENTS:
+        fused = sum((n << k) * rows.size <= MAX_STEPS for k in range(3))  # the rest raise below
+        first = _cell_matrices(cells, True, alphas, kappa2, n, fused) if fused else []
     while idx.size:
         if n * rows.size > MAX_STEPS:
             message = f"shoot: more than {MAX_STEPS} steps needed at alpha={alphas[idx[0]]}"
@@ -217,18 +278,19 @@ def _refine(cells: Cells, alphas, kappa2, const, n: int):
                     f"RTOL*scale + ATOL = {bound[0, c]:.3e}; that cell may be at its rounding floor"
                 )
             raise NumericalFailureError(message)
-        p_n = _cell_matrices(cells, True, alphas[idx], kappa2, n)
-        if not rows.size:  # a product of exact steps
-            return product(idx, p_n)
+        p_n = first.pop(0) if first else _cell_matrices(cells, True, alphas[idx], kappa2, n)[0]
         r_n = None if p_prev is None else p_n + (p_n - p_prev) / 15.0
         if r_prev is not None:
-            estimate = np.max(np.abs(r_n - r_prev), axis=(0, 1)) / 63.0
-            bound = RTOL * np.max(np.abs(r_n), axis=(0, 1)) + ATOL
-            done = ~np.any(estimate > bound, axis=-1)  # non-finite ones too: product raises
+            estimate = np.abs(r_n - r_prev).max(axis=(0, 1)) / 63.0
+            bound = RTOL * np.abs(r_n).max(axis=(0, 1)) + ATOL
+            done = ~(estimate > bound).any(axis=-1)  # non-finite ones too: product raises
             if done.any():  # M at n and n/2, from one product of both levels
-                k, sel = np.count_nonzero(done), np.tile(idx[done], 2)
+                k, sel = np.count_nonzero(done), idx[done]
+                sel = np.concatenate((sel, sel))
                 m = product(sel, np.concatenate((p_n[:, :, done], p_prev[:, :, done]), axis=2))
                 out[..., sel[:k]] = m[..., :k] + (m[..., :k] - m[..., k:]) / 15.0
+                if k == idx.size:
+                    return out
                 keep = ~done
                 idx, estimate, bound = idx[keep], estimate[keep], bound[keep]
                 p_n, r_n = p_n[:, :, keep], r_n[:, :, keep]
@@ -238,7 +300,7 @@ def _refine(cells: Cells, alphas, kappa2, const, n: int):
 
 def _transfer(profile: PotentialProfile, alphas, kappa2):
     """(2, 2, alpha) transfer matrices across [-1, 1], refined by step doubling."""
-    if not (np.all(np.isfinite(alphas)) and np.isfinite(kappa2)):
+    if not (np.isfinite(alphas).all() and np.isfinite(kappa2)):
         raise NumericalFailureError("shoot: alpha and kappa2 must be finite")
     cells = profile.cells
     rows = cells.varying
@@ -247,7 +309,7 @@ def _transfer(profile: PotentialProfile, alphas, kappa2):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(0, alphas.size, block):
             part = alphas[i : i + block]
-            const = _cell_matrices(cells, False, part, kappa2, 1)
+            (const,) = _cell_matrices(cells, False, part, kappa2, 1)
             groups = [(1, slice(None))]  # with no varying cell every alpha takes one exact step
             if rows.size:
                 widths = (cells.edges[rows + 1] - cells.edges[rows])[:, None]
@@ -256,7 +318,8 @@ def _transfer(profile: PotentialProfile, alphas, kappa2):
                     widths * np.sqrt(np.abs(part) * peak + abs(kappa2)), axis=0
                 )
                 # capped exponent: anything past MAX_STEPS fails before it is built
-                start = 2 ** np.ceil(np.log2(np.clip(resolution, 1.0, 2.0 * MAX_STEPS))).astype(int)
+                capped = np.minimum(np.maximum(resolution, 1.0), 2.0 * MAX_STEPS)
+                start = 2 ** np.ceil(np.log2(capped)).astype(int)
                 # alphas that start alike double together
                 groups = [(n, np.flatnonzero(start == n)) for n in sorted(set(start.tolist()))]
             for n, idx in groups:

@@ -74,6 +74,17 @@ def test_wide_d1_0_resonances_match_golden(capsys):
     assert out == (DATA / "d1_0_wide.csv").read_text()
 
 
+def test_wide_seba_resonances_match_golden(capsys):
+    # 19 roots; the predicted scan shoots batches of 132 and 36 alphas here,
+    # next to Brent's single shoots
+    code, out, _ = invoke(
+        capsys, "resonances", "--builtin", "seba-quadratic",
+        "--alpha-min", "-1000", "--alpha-max", "1000", "--format", "csv",
+    )
+    assert code == 0
+    assert out == (DATA / "seba_wide.csv").read_text()
+
+
 def test_converge_matches_golden(capsys):
     code, out, _ = invoke(capsys, "converge", "--builtin", "seba-quadratic", "--alpha", "18.1746")
     assert code == 0

@@ -161,13 +161,16 @@ def test_linear_profile_against_airy(kappa2):
 
 def test_constant_piece_costs_one_step(step, monkeypatch):
     widths = []
-    build = shooting._step_matrices
+    build = shooting._cell_matrices
 
-    def counting(alphas, kappa2, h, a_h, c_h):
-        widths.append(h)
-        return build(alphas, kappa2, h, a_h, c_h)
+    def recording(cells, varying, alphas, kappa2, n, levels=1):
+        # the step widths of every level built, from n up; a shoot of varying
+        # cells builds its first three levels in one call
+        tables = (shooting._nodes(cells, varying, n << k) for k in range(levels))
+        widths.extend(h for h, *_ in tables if h.size)
+        return build(cells, varying, alphas, kappa2, n, levels)
 
-    monkeypatch.setattr(shooting, "_step_matrices", counting)
+    monkeypatch.setattr(shooting, "_cell_matrices", recording)
     shoot(step, 37.0, 1.0)
     assert [h.tolist() for h in widths] == [[1.0, 1.0]]  # one step per constant cell, once
 
@@ -244,9 +247,10 @@ def test_step_cap_message_gives_the_stalled_estimate(monkeypatch):
     built = []
     build = shooting._cell_matrices
 
-    def recording(cells, varying, alphas, kappa2, n):
-        built.append(build(cells, varying, alphas, kappa2, n))
-        return built[-1]
+    def recording(cells, varying, alphas, kappa2, n, levels=1):
+        out = build(cells, varying, alphas, kappa2, n, levels)
+        built.extend(out)  # one entry per level, from n up
+        return out
 
     monkeypatch.setattr(shooting, "_cell_matrices", recording)
     pattern = (
@@ -346,6 +350,31 @@ def test_node_table_is_built_once_per_step_count(monkeypatch):
         assert len(calls) == built
         shoot_batch(profile, np.linspace(-200.0, 200.0, 41), 0.04)
         assert len(calls) == len(_node_tables(profile)) > built  # new step counts only
+
+
+def test_first_three_levels_take_one_step_matrix_pass(seba, monkeypatch):
+    steps, calls = [], []
+    build, cell_matrices = shooting._step_matrices, shooting._cell_matrices
+
+    def counting(alphas, kappa2, h, a_h, c_h, m):
+        steps.append(h.size)
+        return build(alphas, kappa2, h, a_h, c_h, m)
+
+    def recording(cells, varying, alphas, kappa2, n, levels=1):
+        calls.append((varying, n, levels))
+        return cell_matrices(cells, varying, alphas, kappa2, n, levels)
+
+    monkeypatch.setattr(shooting, "_step_matrices", counting)
+    monkeypatch.setattr(shooting, "_cell_matrices", recording)
+    shoot(seba, 18.17)
+    steps.clear()
+    calls.clear()
+    shoot(seba, 18.17)  # warm; converges at its third level, 256 steps per cell
+    assert calls == [(False, 1, 1), (True, 64, 3)]  # no constant cell, then 64, 128 and 256
+    assert steps == [2 * (256 + 128 + 64)]  # one pass over both cells' three levels, not three
+    steps.clear()
+    find_resonances(seba, 0.0, 200.0)
+    assert len(steps) == 42  # 88 when every level took a pass of its own
 
 
 def test_warm_shoot_equals_cold():
