@@ -80,17 +80,23 @@ class Cells:
     with zeros; a node interval has its left node and (psi_i, slope_i), the
     form ``np.interp`` evaluates; the stretches outside the support are 0.
     ``varying`` holds the positions of the cells on which psi is not
-    constant, ``peak`` a 9-point estimate of max|psi| per cell, and ``end``
-    psi at the closed right end of the support.  ``nodes`` holds the
-    propagator's node tables, read-only arrays that ``shooting`` builds on
-    first use and keeps here, so they live and die with the profile.
+    constant and ``constant`` those of the others, ``peak`` a 9-point
+    estimate of max|psi| per cell, and ``end`` psi at the closed right end of
+    the support.  ``reach`` holds the varying cells' widths and peaks as two
+    (cell, 1) columns, which set the propagator's first step count.  All of
+    these are read-only and built with the table, once per profile.
+    ``nodes`` holds the propagator's node tables, read-only arrays that
+    ``shooting`` builds on first use and keeps here, so they live and die
+    with the profile.
     """
 
     edges: np.ndarray
     origin: np.ndarray
     coeffs: np.ndarray
     varying: np.ndarray
+    constant: np.ndarray
     peak: np.ndarray
+    reach: np.ndarray
     end: float
     nodes: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -141,12 +147,14 @@ class PotentialProfile:
         pad = (int(edges[0] > -1.0), int(edges[-1] < 1.0))  # zero cells out to -1 and 1
         edges = np.concatenate(([-1.0] * pad[0], edges, [1.0] * pad[1]))
         origin, coeffs = np.pad(origin, pad), np.pad(coeffs, (pad, (0, 0)))
-        varying = np.flatnonzero(np.pad(varying, pad))
+        varying = np.pad(varying, pad)
+        varying, constant = np.flatnonzero(varying), np.flatnonzero(~varying)
         nine = np.linspace(edges[:-1], edges[1:], 9, axis=-1)
         peak = np.max(np.abs(_horner(coeffs[:, None], nine - origin[:, None])), axis=-1)
-        for arr in (edges, origin, coeffs, varying, peak):
+        reach = np.stack((edges[varying + 1] - edges[varying], peak[varying]))[..., None]
+        for arr in (edges, origin, coeffs, varying, constant, peak, reach):
             arr.flags.writeable = False
-        return Cells(edges, origin, coeffs, varying, peak, float(end))
+        return Cells(edges, origin, coeffs, varying, constant, peak, reach, float(end))
 
     @property
     def is_zero(self) -> bool:

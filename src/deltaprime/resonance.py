@@ -231,13 +231,13 @@ def _decisions(alphas, gvals, err=0.0):
     s, m = np.sign(g), np.abs(g)
     lo, hi = m - err, m + err
     cross = s[:-1] * s[1:] < 0.0  # cell (i, i + 1)
-    around = np.zeros_like(cross)  # (i - 1, i + 1) around a grid zero
     outer = s[:-2] * s[2:]
+    around = np.zeros(cross.shape, dtype=bool)  # (i - 1, i + 1) around a grid zero
     around[1:] = (s[1:-1] == 0.0) & (outer < 0.0)
-    dip = (outer > 0.0) & ~cross[1:] & (hi[:-2] > lo[1:-1]) & (lo[1:-1] < hi[2:])
+    dip = (outer > 0.0) & ~cross[1:] & (np.minimum(hi[:-2], hi[2:]) > lo[1:-1])
     dip &= (a[:-2] >= 0.0) | (a[2:] <= 0.0)
-    at = np.flatnonzero(cross | around)
-    return (at - around[at], at + 1), np.flatnonzero(dip) + 1
+    (at,) = (cross | around).nonzero()
+    return (at - around[at], at + 1), dip.nonzero()[0] + 1
 
 
 def _brackets_from_scan(alphas, gvals):

@@ -8,11 +8,14 @@ exponential of a traceless 2x2 matrix, so every step is unimodular.  Step
 matrices form (alpha, step) arrays that are multiplied pairwise in a tree.
 
 [-1, 1] is split into the cells of the profile's cell table, on each of
-which psi is one polynomial, and the table lists the varying ones
-(``Cells.varying``).  A constant cell is one exact step, built once per
-shoot.  The varying cells of an alpha share one n: each is cut into n
-equal steps, n a power of two of at least START_RESOLUTION * width *
-sqrt(|alpha|*peak + |kappa2|) on every varying cell (peak estimates max|psi|).
+which psi is one polynomial.  The table lists the varying and the constant
+ones (``Cells.varying``, ``Cells.constant``) and holds the varying cells'
+widths and peaks (``Cells.reach``, peak estimates max|psi|): derived once per
+profile with the table, not per shoot.  A constant cell is one exact step,
+built once per shoot; a profile with none builds no such step and multiplies
+the varying cells' matrices alone.  The varying cells of an alpha share one
+n: each is cut into n equal steps, n a power of two of at least
+START_RESOLUTION * width * sqrt(|alpha|*peak + |kappa2|) on every varying cell.
 
 A step's exponent is alpha times one factor plus kappa2 times another, and
 the factors depend only on the step (``_step_matrices``).  So for each n the
@@ -24,13 +27,17 @@ shoot then evaluates no polynomial.  The tables live and die with their
 profile and hold nothing that depends on alpha or kappa2.  A table of more
 than MAX_STEPS steps is never built, and n doubles, so one profile keeps at
 most 2*MAX_STEPS steps of its varying cells and one per constant cell, x 3
-float64 arrays: about 3 MiB.  The concatenated tables of a fused pass (below)
-are built per call, at most FUSE_ELEMENTS steps, and not kept.
+float64 arrays: about 3 MiB, besides one index per constant cell and two
+floats per varying cell in the cell table.  The concatenated tables of a
+fused pass (below) and every step-matrix buffer are built per call, at most
+FUSE_ELEMENTS steps for the tables, and not kept.
 
 With P_n a cell's transfer matrix at n steps, R_n = P_n + (P_n - P_{n/2})/15
 is its Richardson value.  n doubles, per alpha, until every varying cell has
 |R_2n - R_n|/63 <= RTOL*max|R_2n| + ATOL; the Richardson value of the
-product M of all cells is returned.  Every entry of M is then accurate to
+product M of all cells is returned.  Alphas that start at one n double
+together, and a group whose alphas all converge at one level, the usual
+case, returns that level's products as they are.  Every entry of M is then accurate to
 about RTOL times the product of the cells' scales, not RTOL*max|M|: where
 growth in one cell is followed by decay in another, a test on M alone would
 ask a cell for accuracy below its rounding floor.  More than MAX_STEPS
@@ -206,7 +213,7 @@ def _nodes(cells: Cells, varying: bool, n: int):
     """
     table = cells.nodes.get((varying, n))
     if table is None:
-        rows = cells.varying if varying else np.delete(np.arange(cells.peak.size), cells.varying)
+        rows = cells.varying if varying else cells.constant
         widths = np.diff(cells.edges)[rows]
         unit = ((np.arange(n)[:, None] + _GAUSS) / n).ravel()  # Gauss nodes of a unit cell
         psi = cells.values((rows, None), cells.edges[rows, None] + widths[:, None] * unit)
@@ -226,9 +233,7 @@ def _cell_matrices(cells: Cells, varying: bool, alphas, kappa2, n: int, levels: 
     """
     tables = [_nodes(cells, varying, n << k) for k in reversed(range(levels))]
     table = tables[0] if levels == 1 else tuple(map(np.concatenate, zip(*tables)))
-    count = tables[-1][0].size // n
-    if not count:
-        return [np.empty((2, 2, alphas.size, 0))] * levels
+    count = (cells.varying if varying else cells.constant).size
     block = max(1, BLOCK_ELEMENTS // table[0].size)
     m = np.empty((2, 2, min(block, alphas.size), table[0].size))
     if alphas.size <= block:
@@ -242,35 +247,41 @@ def _cell_matrices(cells: Cells, varying: bool, alphas, kappa2, n: int, levels: 
     return out
 
 
+def _finite(m, kappa2, alphas):
+    """m, the (2, 2, alpha) products at ``alphas``, unless an entry is not finite."""
+    if not np.isfinite(m).all():
+        raise NumericalFailureError(
+            f"shoot: non-finite state at kappa2={kappa2}, alpha in [{alphas.min()}, {alphas.max()}]"
+        )
+    return m
+
+
 def _refine(cells: Cells, alphas, kappa2, const, n: int):
-    """Richardson values of M at ``alphas`` from n steps per varying cell; ``const``: exact ones."""
-    rows, fixed = cells.varying, slice(None)  # with no varying cell every cell is constant
-    if rows.size:  # a mask of the constant cells
-        fixed = np.ones(cells.peak.size, dtype=bool)
-        fixed[rows] = False
+    """Richardson values of M at ``alphas`` from n steps per varying cell.
 
-    def product(sel, p):  # M at the alphas ``sel`` from the varying cells' p
-        mats = np.empty(p.shape[:3] + cells.peak.shape)
-        mats[..., fixed], mats[..., rows] = const[:, :, sel], p
-        m = _tree_product(mats)[..., 0]
-        if not np.isfinite(m).all():
-            raise NumericalFailureError(
-                f"shoot: non-finite state at kappa2={kappa2}, "
-                f"alpha in [{alphas[sel].min()}, {alphas[sel].max()}]"
-            )
-        return m
+    ``const`` holds the constant cells' exact matrices, None when there are none.
+    """
+    rows = cells.varying
 
-    if not rows.size:  # a product of exact steps
-        return product(slice(None), np.empty((2, 2, alphas.size, 0)))
-    out, idx = np.empty((2, 2, alphas.size)), np.arange(alphas.size)
+    def richardson(at, p_n, p_prev):  # M at the alphas ``at`` from one product of both levels
+        k, p = p_n.shape[2], np.concatenate((p_n, p_prev), axis=2)
+        if const is not None:  # the exact constant cells go in between
+            c = const[:, :, at]
+            mats = np.empty(p.shape[:3] + cells.peak.shape)
+            mats[..., cells.constant], mats[..., rows] = np.concatenate((c, c), axis=2), p
+            p = mats
+        m = _finite(_tree_product(p)[..., 0], kappa2, alphas[at])
+        return m[..., :k] + (m[..., :k] - m[..., k:]) / 15.0
+
+    out, idx = None, slice(None)  # the alphas still refining: all until some converge
     p_prev = r_prev = estimate = bound = None
     first = []  # levels built ahead: every alpha needs n, 2n and 4n
     if 7 * n * rows.size * alphas.size <= FUSE_ELEMENTS:
         fused = sum((n << k) * rows.size <= MAX_STEPS for k in range(3))  # the rest raise below
         first = _cell_matrices(cells, True, alphas, kappa2, n, fused) if fused else []
-    while idx.size:
+    while True:
         if n * rows.size > MAX_STEPS:
-            message = f"shoot: more than {MAX_STEPS} steps needed at alpha={alphas[idx[0]]}"
+            message = f"shoot: more than {MAX_STEPS} steps needed at alpha={alphas[idx][0]}"
             if estimate is not None:
                 c = np.argmax(estimate[0] - bound[0])  # the worst cell
                 message += (
@@ -283,18 +294,47 @@ def _refine(cells: Cells, alphas, kappa2, const, n: int):
         if r_prev is not None:
             estimate = np.abs(r_n - r_prev).max(axis=(0, 1)) / 63.0
             bound = RTOL * np.abs(r_n).max(axis=(0, 1)) + ATOL
-            done = ~(estimate > bound).any(axis=-1)  # non-finite ones too: product raises
-            if done.any():  # M at n and n/2, from one product of both levels
-                k, sel = np.count_nonzero(done), idx[done]
-                sel = np.concatenate((sel, sel))
-                m = product(sel, np.concatenate((p_n[:, :, done], p_prev[:, :, done]), axis=2))
-                out[..., sel[:k]] = m[..., :k] + (m[..., :k] - m[..., k:]) / 15.0
-                if k == idx.size:
-                    return out
+            done = ~(estimate > bound).any(axis=-1)  # non-finite ones too: the product raises
+            if done.all():  # M at n and n/2, for every alpha left
+                m = richardson(idx, p_n, p_prev)
+                if out is None:
+                    return m
+                out[..., idx] = m
+                return out
+            if done.any():
+                if out is None:
+                    out, idx = np.empty((2, 2, alphas.size)), np.arange(alphas.size)
+                out[..., idx[done]] = richardson(idx[done], p_n[:, :, done], p_prev[:, :, done])
                 keep = ~done
                 idx, estimate, bound = idx[keep], estimate[keep], bound[keep]
                 p_n, r_n = p_n[:, :, keep], r_n[:, :, keep]
         p_prev, r_prev, n = p_n, r_n, 2 * n
+
+
+def _block(cells: Cells, alphas, kappa2):
+    """(2, 2, alpha) transfer matrices of one block of alphas, refined by step doubling.
+
+    An alpha's first n is the least power of two of at least START_RESOLUTION
+    * width * sqrt(|alpha|*peak + |kappa2|) on every varying cell, from the
+    profile's ``cells.reach``; alphas that start alike double together.
+    """
+    const = _cell_matrices(cells, False, alphas, kappa2, 1)[0] if cells.constant.size else None
+    if not cells.varying.size:  # a product of exact steps, one per cell
+        return _finite(_tree_product(const)[..., 0], kappa2, alphas)
+    widths, peak = cells.reach
+    scale = widths * np.sqrt(np.abs(alphas) * peak + abs(kappa2))
+    resolution = START_RESOLUTION * scale.max(axis=0)
+    # capped exponent: anything past MAX_STEPS fails before it is built
+    capped = np.minimum(np.maximum(resolution, 1.0), 2.0 * MAX_STEPS)
+    start = 2 ** np.ceil(np.log2(capped)).astype(int)
+    starts = sorted(set(start.tolist()))
+    if len(starts) == 1:
+        return _refine(cells, alphas, kappa2, const, starts[0])
+    out = np.empty((2, 2, alphas.size))
+    for n in starts:
+        idx = np.flatnonzero(start == n)
+        part = None if const is None else const[:, :, idx]
+        out[..., idx] = _refine(cells, alphas[idx], kappa2, part, n)
     return out
 
 
@@ -303,30 +343,10 @@ def _transfer(profile: PotentialProfile, alphas, kappa2):
     if not (np.isfinite(alphas).all() and np.isfinite(kappa2)):
         raise NumericalFailureError("shoot: alpha and kappa2 must be finite")
     cells = profile.cells
-    rows = cells.varying
     block = max(1, BLOCK_ELEMENTS // (4 * cells.peak.size))
-    out = np.empty((2, 2, alphas.size))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i in range(0, alphas.size, block):
-            part = alphas[i : i + block]
-            (const,) = _cell_matrices(cells, False, part, kappa2, 1)
-            groups = [(1, slice(None))]  # with no varying cell every alpha takes one exact step
-            if rows.size:
-                widths = (cells.edges[rows + 1] - cells.edges[rows])[:, None]
-                peak = cells.peak[rows, None]
-                resolution = START_RESOLUTION * np.max(
-                    widths * np.sqrt(np.abs(part) * peak + abs(kappa2)), axis=0
-                )
-                # capped exponent: anything past MAX_STEPS fails before it is built
-                capped = np.minimum(np.maximum(resolution, 1.0), 2.0 * MAX_STEPS)
-                start = 2 ** np.ceil(np.log2(capped)).astype(int)
-                # alphas that start alike double together
-                groups = [(n, np.flatnonzero(start == n)) for n in sorted(set(start.tolist()))]
-            for n, idx in groups:
-                out[:, :, i : i + block][..., idx] = _refine(
-                    cells, part[idx], kappa2, const[:, :, idx], n
-                )
-    return out
+        parts = [_block(cells, alphas[i : i + block], kappa2) for i in range(0, alphas.size, block)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
 
 
 def shoot(profile: PotentialProfile, alpha: float, kappa2: float = 0.0) -> FundamentalData:
@@ -340,8 +360,8 @@ def shoot(profile: PotentialProfile, alpha: float, kappa2: float = 0.0) -> Funda
     Raises NumericalFailureError on a non-finite alpha or state (e.g. alpha
     large enough that the solution overflows) or past MAX_STEPS steps.
     """
-    m = _transfer(profile, np.array([float(alpha)]), float(kappa2))[..., 0]
-    u1, du1, v1, dv1 = float(m[0, 0]), float(m[1, 0]), float(m[0, 1]), float(m[1, 1])
+    m = _transfer(profile, np.array([float(alpha)]), float(kappa2))
+    (u1, v1), (du1, dv1) = m[..., 0].tolist()
     defect = abs(u1 * dv1 - du1 * v1 - 1.0)
     return FundamentalData(u1, du1, v1, dv1, defect)
 

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,11 @@ from deltaprime import (
     NumericalFailureError,
     Resonant,
     asymptotic_coeffs,
+    builtin_profile,
     find_resonances,
     finite_coeffs,
     limit_coeffs,
+    load_profile,
     q_factor,
     shoot,
 )
@@ -194,3 +199,22 @@ def test_finite_vanishing_determinant_raises(seba, monkeypatch):
     monkeypatch.setattr(scattering, "shoot", lambda *args: zero)
     with pytest.raises(NumericalFailureError, match="determinant"):
         finite_coeffs(seba, 1.0, 1.0, 0.1)
+
+
+DATA = Path(__file__).parent / "data"
+
+#: reprs of finite_coeffs' R and T, asymptotic_coeffs' R and T at kappa =
+#: eps*k, and q_factor, per (alpha, k, eps) with kappa from 1e-3 to 0.2
+SCATTER_GOLDEN = json.loads((DATA / "scatter_golden.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(SCATTER_GOLDEN["profiles"]))
+def test_scatter_matches_golden_bit_for_bit(name):
+    profile = load_profile(DATA / name) if name.endswith(".json") else builtin_profile(name)
+    parts = lambda z: [repr(z.real), repr(z.imag)]
+    for row in SCATTER_GOLDEN["profiles"][name]:
+        alpha, k, eps = map(float, row[:3])
+        finite = finite_coeffs(profile, alpha, k, eps)
+        near = asymptotic_coeffs(profile, alpha, eps * k)
+        got = [*parts(finite.R), *parts(finite.T), *parts(near.R), *parts(near.T)]
+        assert got + [repr(q_factor(profile, alpha))] == row[3:]

@@ -1,5 +1,6 @@
 import gc
 import json
+import operator
 import re
 import weakref
 from pathlib import Path
@@ -18,7 +19,7 @@ from deltaprime import (
     neumann_mismatch,
     shoot,
 )
-from deltaprime import shooting
+from deltaprime import profiles, shooting
 from deltaprime.profiles import Cells
 from deltaprime.shooting import FundamentalData, shoot_batch
 
@@ -322,11 +323,16 @@ def _node_tables(profile):
     return {key: table for key, table in profile.cells.nodes.items() if isinstance(key, tuple)}
 
 
+def _profile_arrays(profile):
+    """What the propagator derives once per profile, with its cell table."""
+    return profile.cells.constant, profile.cells.reach
+
+
 def test_node_tables_are_read_only():
     for profile in (builtin_profile("seba-quadratic"), from_samples(*MIXED_SAMPLES)):
         shoot(profile, 57.3, 0.04)
         assert _node_tables(profile)
-        for table in profile.cells.nodes.values():
+        for table in [*profile.cells.nodes.values(), _profile_arrays(profile)]:
             assert not any(arr.flags.writeable for arr in table)
 
 
@@ -340,9 +346,10 @@ def test_node_table_is_built_once_per_step_count(monkeypatch):
 
     monkeypatch.setattr(Cells, "values", counting)
     for profile in (builtin_profile("seba-quadratic"), from_samples(*MIXED_SAMPLES)):
+        assert "cells" not in vars(profile)  # built on first use, not with the profile
         calls.clear()
         shoot(profile, 57.3)
-        built = len(calls)
+        built, arrays = len(calls), _profile_arrays(profile)
         assert built == len(_node_tables(profile)) >= 3  # the constant cells and two levels
         shoot(profile, 57.3)
         shoot(profile, 57.3, 0.04)
@@ -350,6 +357,7 @@ def test_node_table_is_built_once_per_step_count(monkeypatch):
         assert len(calls) == built
         shoot_batch(profile, np.linspace(-200.0, 200.0, 41), 0.04)
         assert len(calls) == len(_node_tables(profile)) > built  # new step counts only
+        assert all(map(operator.is_, _profile_arrays(profile), arrays))  # once per profile
 
 
 def test_first_three_levels_take_one_step_matrix_pass(seba, monkeypatch):
@@ -370,8 +378,13 @@ def test_first_three_levels_take_one_step_matrix_pass(seba, monkeypatch):
     steps.clear()
     calls.clear()
     shoot(seba, 18.17)  # warm; converges at its third level, 256 steps per cell
-    assert calls == [(False, 1, 1), (True, 64, 3)]  # no constant cell, then 64, 128 and 256
+    assert calls == [(True, 64, 3)]  # no constant-cell pass, then 64, 128 and 256
     assert steps == [2 * (256 + 128 + 64)]  # one pass over both cells' three levels, not three
+    mixed = load_profile(DATA / "mixed_samples.json")
+    shoot(mixed, 18.17)
+    calls.clear()
+    shoot(mixed, 18.17)
+    assert [call for call in calls if not call[0]] == [(False, 1, 1)]  # one constant-cell pass
     steps.clear()
     find_resonances(seba, 0.0, 200.0)
     assert len(steps) == 42  # 88 when every level took a pass of its own
@@ -389,17 +402,18 @@ def test_profile_with_node_tables_is_collected():
     profile = builtin_profile("seba-quadratic")
     shoot_batch(profile, [-150.3, 57.3])
     assert _node_tables(profile)
-    refs = (weakref.ref(profile), weakref.ref(profile.cells))
+    refs = [weakref.ref(obj) for obj in (profile, profile.cells, *_profile_arrays(profile))]
     del profile
     gc.collect()
-    assert [ref() for ref in refs] == [None, None]
+    assert [ref() for ref in refs] == [None] * 4
 
 
 def test_no_module_level_table_registry():
     kept = (dict, list, set, weakref.WeakKeyDictionary, weakref.WeakValueDictionary)
     registries = [
         name
-        for name, value in vars(shooting).items()
+        for module in (shooting, profiles)
+        for name, value in vars(module).items()
         if not name.startswith("__") and (isinstance(value, kept) or hasattr(value, "cache_info"))
     ]
     assert registries == []
