@@ -144,10 +144,15 @@ class PotentialProfile:
             edges, origin, end = self.xi, self.xi[:-1], self.psi[-1]
             coeffs = np.column_stack((self.psi[:-1], np.diff(self.psi) / np.diff(self.xi)))
             varying = self.psi[:-1] != self.psi[1:]
-        pad = (int(edges[0] > -1.0), int(edges[-1] < 1.0))  # zero cells out to -1 and 1
-        edges = np.concatenate(([-1.0] * pad[0], edges, [1.0] * pad[1]))
-        origin, coeffs = np.pad(origin, pad), np.pad(coeffs, (pad, (0, 0)))
-        varying = np.pad(varying, pad)
+        lo, hi = int(edges[0] > -1.0), int(edges[-1] < 1.0)  # zero cells out to -1 and 1
+        edges = np.concatenate(([-1.0] * lo, edges, [1.0] * hi))
+
+        def padded(arr):  # arr with a zero row for each zero cell
+            out = np.zeros((edges.size - 1,) + arr.shape[1:], arr.dtype)
+            out[lo : lo + len(arr)] = arr
+            return out
+
+        origin, coeffs, varying = padded(origin), padded(coeffs), padded(varying)
         varying, constant = np.flatnonzero(varying), np.flatnonzero(~varying)
         nine = np.linspace(edges[:-1], edges[1:], 9, axis=-1)
         peak = np.max(np.abs(_horner(coeffs[:, None], nine - origin[:, None])), axis=-1)
