@@ -8,9 +8,12 @@ that, so no other module decodes the two formats.
 ``kind`` with ``segments`` or ``xi`` and ``psi`` stay as constructed and
 define equality and hash (samples by value), the mirror profile and the JSON
 format below.  Profiles evaluate to 0 outside their support.  They are
-immutable apart from the propagator's node tables (``Cells.nodes``), which
-fill lazily and hold only alpha-independent data, so profiles can be shared
-across threads: a concurrent first build of a table only duplicates work.
+immutable apart from two things the propagator keeps in the cell table:
+its node tables (``Cells.nodes``), which fill lazily and hold only
+alpha-independent data, and its last shoot (``Cells.last_shot``), one
+(alpha, kappa2) point with the boundary data it gave.  Profiles can be
+shared across threads: a concurrent first build of a table only duplicates
+work, and the last shoot is replaced as one tuple.
 
 The JSON file format is::
 
@@ -85,9 +88,10 @@ class Cells:
     the support.  ``reach`` holds the varying cells' widths and peaks as two
     (cell, 1) columns, which set the propagator's first step count.  All of
     these are read-only and built with the table, once per profile.
-    ``nodes`` holds the propagator's node tables, read-only arrays that
-    ``shooting`` builds on first use and keeps here, so they live and die
-    with the profile.
+    Two fields belong to ``shooting`` and live and die with the profile:
+    ``nodes`` holds the propagator's node tables, read-only arrays built on
+    first use, and ``last_shot[0]`` the last single shoot, a (key, boundary
+    data) tuple that depends on alpha and kappa2, None until a shoot succeeds.
     """
 
     edges: np.ndarray
@@ -99,6 +103,7 @@ class Cells:
     reach: np.ndarray
     end: float
     nodes: dict = field(default_factory=dict, repr=False, compare=False)
+    last_shot: list = field(default_factory=lambda: [None], repr=False, compare=False)
 
     def values(self, rows, x):
         """psi at x on the cells ``rows`` (the two broadcast together)."""

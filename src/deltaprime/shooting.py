@@ -54,6 +54,18 @@ the arithmetic of a level built alone, bit for bit.  Levels past 4n and the
 levels of a larger call, whose arrays gain nothing from one pass, are built
 one at a time; no level past MAX_STEPS is built.
 
+A profile also keeps its last single shoot.  ``shoot`` stores one tuple
+of a key and the FundamentalData it returned in ``Cells.last_shot``, and a
+call with that key returns the kept object without shooting, so
+``asymptotic_coeffs`` and then ``q_factor`` at one alpha shoot (alpha, 0)
+once.  The key is the exact bits of alpha and kappa2, so 0.0 and -0.0
+differ, together with RTOL, ATOL, MAX_STEPS and START_RESOLUTION, so a
+changed tolerance or cap shoots again.  There is one entry per profile; a
+search's bracket ends are kept by the search (``resonance``).  Only a shoot
+that succeeds is stored.  The entry is replaced as one tuple, so a thread
+reads either the old or the new key with its own data, never a mix.
+``shoot_batch`` neither reads nor writes it.
+
 Everything downstream (resonance detection, the coupling ratio, scattering
 coefficients) consumes only the boundary values returned here.
 """
@@ -61,6 +73,7 @@ coefficients) consumes only the boundary values returned here.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -349,6 +362,14 @@ def _transfer(profile: PotentialProfile, alphas, kappa2):
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
 
 
+def _real(value, name: str) -> float:
+    """float(value), or InvalidInputError naming ``name`` when value is not a real number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}") from None
+
+
 def shoot(profile: PotentialProfile, alpha: float, kappa2: float = 0.0) -> FundamentalData:
     """Boundary data of both fundamental solutions at xi=1.
 
@@ -357,13 +378,28 @@ def shoot(profile: PotentialProfile, alpha: float, kappa2: float = 0.0) -> Funda
     every entry is accurate to about RTOL times the product of the cells'
     scales (module docstring).
 
-    Raises NumericalFailureError on a non-finite alpha or state (e.g. alpha
-    large enough that the solution overflows) or past MAX_STEPS steps.
+    The profile keeps the last point shot and its result, one entry keyed
+    by the exact bits of alpha and kappa2 and by RTOL, ATOL, MAX_STEPS and
+    START_RESOLUTION; a repeat of that call returns the kept object.  The
+    entry is stored only after a shoot succeeds and is replaced as one
+    tuple, so threads sharing a profile stay safe.
+
+    Raises InvalidInputError when alpha or kappa2 is not a real number, and
+    NumericalFailureError on a non-finite alpha or state (e.g. alpha large
+    enough that the solution overflows) or past MAX_STEPS steps.
     """
-    m = _transfer(profile, np.array([float(alpha)]), float(kappa2))
+    alpha, kappa2 = _real(alpha, "shoot: alpha"), _real(kappa2, "shoot: kappa2")
+    cells = profile.cells
+    key = (struct.pack("2d", alpha, kappa2), RTOL, ATOL, MAX_STEPS, START_RESOLUTION)
+    last = cells.last_shot[0]
+    if last is not None and last[0] == key:
+        return last[1]
+    m = _transfer(profile, np.array([alpha]), kappa2)
     (u1, v1), (du1, dv1) = m[..., 0].tolist()
     defect = abs(u1 * dv1 - du1 * v1 - 1.0)
-    return FundamentalData(u1, du1, v1, dv1, defect)
+    fd = FundamentalData(u1, du1, v1, dv1, defect)
+    cells.last_shot[0] = key, fd
+    return fd
 
 
 def shoot_batch(profile: PotentialProfile, alphas, kappa2: float = 0.0):
@@ -374,7 +410,8 @@ def shoot_batch(profile: PotentialProfile, alphas, kappa2: float = 0.0):
     entry equals ``shoot`` at that alpha bit for bit.
 
     Returns four arrays (u1, du1, v1, dv1) aligned with ``alphas``.  Raises
-    InvalidInputError unless ``alphas`` is a 1-D sequence of numbers.
+    InvalidInputError unless ``alphas`` is a 1-D sequence of numbers and
+    kappa2 a number.
     """
     try:
         alphas = np.asarray(list(alphas), dtype=float)
@@ -382,9 +419,10 @@ def shoot_batch(profile: PotentialProfile, alphas, kappa2: float = 0.0):
         alphas = None
     if alphas is None or alphas.ndim != 1:
         raise InvalidInputError("shoot_batch: alphas must be a 1-D sequence of numbers")
+    kappa2 = _real(kappa2, "shoot_batch: kappa2")
     if alphas.size == 0:
         return tuple(np.empty(0) for _ in range(4))
-    m = _transfer(profile, alphas, float(kappa2))
+    m = _transfer(profile, alphas, kappa2)
     return m[0, 0], m[1, 0], m[0, 1], m[1, 1]
 
 

@@ -218,3 +218,9 @@ def test_scatter_matches_golden_bit_for_bit(name):
         near = asymptotic_coeffs(profile, alpha, eps * k)
         got = [*parts(finite.R), *parts(finite.T), *parts(near.R), *parts(near.T)]
         assert got + [repr(q_factor(profile, alpha))] == row[3:]
+        # the reverse order, in which q_factor shoots (alpha, 0) and asymptotic_coeffs reuses it
+        q = q_factor(profile, alpha)
+        near = asymptotic_coeffs(profile, alpha, eps * k)
+        finite = finite_coeffs(profile, alpha, k, eps)
+        got = [*parts(finite.R), *parts(finite.T), *parts(near.R), *parts(near.T)]
+        assert got + [repr(q)] == row[3:]

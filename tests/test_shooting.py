@@ -1,8 +1,12 @@
 import gc
 import json
+import math
 import operator
 import re
+import sys
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +15,15 @@ import pytest
 from deltaprime import (
     InvalidInputError,
     NumericalFailureError,
+    asymptotic_coeffs,
     builtin_profile,
+    finite_coeffs,
     find_resonances,
     from_samples,
     from_segments,
     load_profile,
     neumann_mismatch,
+    q_factor,
     shoot,
 )
 from deltaprime import profiles, shooting
@@ -113,6 +120,32 @@ def test_batch_rejects_non_sequence_alphas(step, alphas):
         shoot_batch(step, alphas)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: shoot(p, "abc"),
+        lambda p: shoot(p, None),
+        lambda p: shoot(p, 1j),
+        lambda p: shoot(p, 1.0, "x"),
+        lambda p: shoot_batch(p, [1.0], None),
+        lambda p: shoot_batch(p, [], "x"),
+    ],
+    ids=["alpha-str", "alpha-none", "alpha-complex", "kappa2-str", "batch-kappa2-none", "empty-batch"],
+)
+def test_non_numeric_inputs_raise_invalid_input(step, call):
+    shoot(step, 1.0)  # a kept last shoot does not answer for an input that is no number
+    with pytest.raises(InvalidInputError, match="must be"):
+        call(step)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_nonfinite_kappa2_raises_numerical_failure(step, bad):
+    with pytest.raises(NumericalFailureError):
+        shoot(step, 1.0, bad)
+    with pytest.raises(NumericalFailureError):
+        shoot_batch(step, [1.0], bad)
+
+
 def test_batch_accepts_sequences(step):
     for alphas in ((1.0, 2.0), np.array([1.0, 2.0]), (a for a in (1.0, 2.0))):
         assert shoot_batch(step, alphas)[0].shape == (2,)
@@ -160,7 +193,8 @@ def test_linear_profile_against_airy(kappa2):
             assert abs(got - exact) <= 1e-11 * scale
 
 
-def test_constant_piece_costs_one_step(step, monkeypatch):
+def test_constant_piece_costs_one_step(monkeypatch):
+    step = builtin_profile("step")  # a fresh profile, whose last shoot is not this test's point
     widths = []
     build = shooting._cell_matrices
 
@@ -375,6 +409,7 @@ def test_first_three_levels_take_one_step_matrix_pass(seba, monkeypatch):
     monkeypatch.setattr(shooting, "_step_matrices", counting)
     monkeypatch.setattr(shooting, "_cell_matrices", recording)
     shoot(seba, 18.17)
+    shoot(seba, 18.16)  # another point, so the next shoot is not the profile's last
     steps.clear()
     calls.clear()
     shoot(seba, 18.17)  # warm; converges at its third level, 256 steps per cell
@@ -382,6 +417,7 @@ def test_first_three_levels_take_one_step_matrix_pass(seba, monkeypatch):
     assert steps == [2 * (256 + 128 + 64)]  # one pass over both cells' three levels, not three
     mixed = load_profile(DATA / "mixed_samples.json")
     shoot(mixed, 18.17)
+    shoot(mixed, 18.16)
     calls.clear()
     shoot(mixed, 18.17)
     assert [call for call in calls if not call[0]] == [(False, 1, 1)]  # one constant-cell pass
@@ -401,11 +437,12 @@ def test_warm_shoot_equals_cold():
 def test_profile_with_node_tables_is_collected():
     profile = builtin_profile("seba-quadratic")
     shoot_batch(profile, [-150.3, 57.3])
-    assert _node_tables(profile)
-    refs = [weakref.ref(obj) for obj in (profile, profile.cells, *_profile_arrays(profile))]
-    del profile
+    kept = shoot(profile, 57.3)
+    assert _node_tables(profile) and profile.cells.last_shot[0][1] is kept
+    refs = [weakref.ref(obj) for obj in (profile, profile.cells, *_profile_arrays(profile), kept)]
+    del profile, kept
     gc.collect()
-    assert [ref() for ref in refs] == [None] * 4
+    assert [ref() for ref in refs] == [None] * 5
 
 
 def test_no_module_level_table_registry():
@@ -417,3 +454,104 @@ def test_no_module_level_table_registry():
         if not name.startswith("__") and (isinstance(value, kept) or hasattr(value, "cache_info"))
     ]
     assert registries == []
+
+
+@pytest.fixture
+def transfers(monkeypatch):
+    """The (alphas, kappa2) of every ``_transfer`` call, the work of a shoot."""
+    calls = []
+    transfer = shooting._transfer
+
+    def spy(profile, alphas, kappa2):
+        calls.append((alphas.tolist(), kappa2))
+        return transfer(profile, alphas, kappa2)
+
+    monkeypatch.setattr(shooting, "_transfer", spy)
+    return calls
+
+
+def _bits(fd):
+    return [x.hex() for x in (fd.u1, fd.du1, fd.v1, fd.dv1, fd.wronskian_defect)]
+
+
+def test_repeated_shoot_returns_the_kept_result(transfers):
+    profile = builtin_profile("seba-quadratic")
+    fd = shoot(profile, 18.17, 0.04)
+    again = shoot(profile, 18.17, 0.04)
+    assert len(transfers) == 1 and again is fd
+    assert again == shoot(builtin_profile("seba-quadratic"), 18.17, 0.04)
+    assert shoot(profile, np.float64(18.17), 0.04) is fd  # the same bits, another type
+
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(18.17, 0.04), (np.nextafter(18.17, math.inf), 0.04)],
+        [(18.17, 0.04), (18.17, np.nextafter(0.04, math.inf))],
+        [(0.0, 1.0), (-0.0, 1.0)],
+        [(5.0, 0.0), (5.0, -0.0)],
+        [(18.17, 0.0), (7.3, 0.0), (18.17, 0.0)],
+    ],
+    ids=["alpha-ulp", "kappa2-ulp", "alpha-signed-zero", "kappa2-signed-zero", "A-B-A"],
+)
+def test_any_other_point_shoots_again(transfers, points):
+    profile = builtin_profile("seba-quadratic")
+    for alpha, kappa2 in points:
+        shoot(profile, alpha, kappa2)
+    assert [kappa2 for _, kappa2 in transfers] == [float(kappa2) for _, kappa2 in points]
+    assert [alphas for alphas, _ in transfers] == [[float(alpha)] for alpha, _ in points]
+
+
+@pytest.mark.parametrize(
+    "name, value", [("RTOL", 5e-13), ("ATOL", 1e-15), ("MAX_STEPS", 2**15), ("START_RESOLUTION", 4.0)]
+)
+def test_changed_settings_shoot_again(transfers, monkeypatch, name, value):
+    profile = builtin_profile("seba-quadratic")
+    shoot(profile, 18.17)
+    monkeypatch.setattr(shooting, name, value)
+    shoot(profile, 18.17)
+    shoot(profile, 18.17)
+    assert len(transfers) == 2
+
+
+def test_failed_shoot_stores_nothing(transfers):
+    profile = builtin_profile("step")
+    with pytest.raises(NumericalFailureError):
+        shoot(profile, 1e9)
+    assert profile.cells.last_shot == [None]
+    kept = shoot(profile, 1.0)
+    for _ in range(2):
+        with pytest.raises(NumericalFailureError):
+            shoot(profile, 1e9)
+    assert len(transfers) == 4 and profile.cells.last_shot[0][1] is kept
+    assert shoot(profile, 1.0) is kept and len(transfers) == 4
+
+
+def test_scatter_point_shoots_twice(transfers):
+    profile = builtin_profile("seba-quadratic")
+    alpha, k, eps = 18.1746, 1.0, 0.01
+    finite_coeffs(profile, alpha, k, eps)
+    asymptotic_coeffs(profile, alpha, eps * k)
+    q_factor(profile, alpha)
+    assert transfers == [([alpha], (eps * k) ** 2), ([alpha], 0.0)]  # 3 shoots before the memo
+
+
+def test_threads_sharing_a_profile_get_single_threaded_bits():
+    points = [(18.17, 0.0), (-7.3, 0.04)]
+    want = [_bits(shoot(builtin_profile("seba-quadratic"), *point)) for point in points]
+    profile = builtin_profile("seba-quadratic")
+    barrier = threading.Barrier(4, timeout=30)
+
+    def alternate(first):
+        barrier.wait()
+        return [(i, _bits(shoot(profile, *points[i]))) for i in [first, 1 - first] * 25]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between the memo's read and its write
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            runs = list(pool.map(alternate, [0, 1, 0, 1], timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(runs) == 4 and all(bits == want[i] for run in runs for i, bits in run)
