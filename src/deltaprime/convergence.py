@@ -49,6 +49,7 @@ import numpy as np
 from .errors import InvalidInputError, NumericalFailureError
 from .profiles import PotentialProfile
 from .resonance import Classification, NonResonant, Resonant, classify
+from .shooting import _real
 
 DEFAULT_EPS_LIST = (0.2, 0.1, 0.05, 0.025)
 DEFAULT_L = 20.0
@@ -503,19 +504,32 @@ def _solve_window(
     return X
 
 
-def _window(profile: PotentialProfile, eps_max: float, grid: Grid, x: np.ndarray):
+def _window(profile: PotentialProfile, eps_max: float, grid: Grid):
     """Index range [a, b) of the nodes where some operator of the study differs
     from the free second difference, padded by two nodes on each side.
 
     The range spans the nodes with x/eps_max in the profile's support and the
     limit's interface rows around 0, so it holds the support of every
-    eps <= eps_max as well.
+    eps <= eps_max as well.  x/eps_max rises with the node index, so the
+    support's nodes are a run of indices, found from an estimate by testing
+    the nodes at its ends as ``Grid.nodes`` computes them.
     """
     lo, hi = profile.support
-    t = x / eps_max
+    L, h, N = grid.L, grid.h, grid.N
+    t = lambda k: (-L + h * k) / eps_max  # node k = 1..N, index k - 1
+    first = min(max(math.ceil((lo * eps_max + L) / h), 1), N + 1)
+    while first > 1 and t(first - 1) >= lo:
+        first -= 1
+    while first <= N and t(first) < lo:
+        first += 1
+    last = min(max(math.floor((hi * eps_max + L) / h), 0), N)
+    while last < N and t(last + 1) <= hi:
+        last += 1
+    while last > 0 and t(last) > hi:
+        last -= 1
     im, ip = grid.interface
-    rows = np.concatenate((np.flatnonzero((t >= lo) & (t <= hi)), [im - 1, ip + 1]))
-    return max(int(rows.min()) - 2, 0), min(int(rows.max()) + 3, grid.N)
+    rows = [im - 1, ip + 1] + ([first - 1, last - 1] if first <= last else [])
+    return max(min(rows) - 2, 0), min(max(rows) + 3, N)
 
 
 def study(
@@ -551,7 +565,8 @@ def study(
             "study: the identically-zero profile has an eps-independent free "
             "operator family; the resonant/non-resonant dichotomy does not apply"
         )
-    eps_arr = [float(e) for e in eps_list]
+    alpha = _real(alpha, "study: alpha")
+    eps_arr = [_real(e, "study: eps values") for e in eps_list]
     if len(eps_arr) < 2:
         raise InvalidInputError("study: at least two eps values are required")
     if not all(np.isfinite(e) and e > 0 for e in eps_arr):
@@ -563,11 +578,11 @@ def study(
 
     c = classify(profile, alpha, tol=1e-3)
 
-    x = grid.nodes()
-    a, b = _window(profile, eps_arr[0], grid, x)
+    a, b = _window(profile, eps_arr[0], grid)
     h = grid.h
+    x = -grid.L + h * np.arange(a + 1, b + 1)  # grid.nodes()[a:b]
     ops = [_limit_rows(c, h, b - a, grid.interface[0] - a)]
-    ops += [_seps_rows(profile, alpha, eps, h, x[a:b]) for eps in eps_arr]
+    ops += [_seps_rows(profile, alpha, eps, h, x) for eps in eps_arr]
     battery = _default_battery(grid, a, b)
     inv_h2 = 1.0 / (h * h)
     X0, *Xs = (_solve_window(op, DEFAULT_K2, battery, inv_h2, grid.N) for op in ops)

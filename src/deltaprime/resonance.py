@@ -19,6 +19,10 @@ scan_step sets the resolution of those decisions, not the number of shoots.
 g is entire, so on a window of many cells most grid values come from
 Chebyshev interpolants of g, and only the values a decision reads are
 shoots (``_scan_values``); the decisions are those of a grid shot wholly.
+A grid of 4 to _CHEB_DEGREE + 1 points is shot whole, and there Brent's
+method starts from the root of the polynomial through the grid values
+nearest each bracket, which moves a root by at most Brent's xtol; a wider
+grid, or one of 2 or 3 points, refines from the bracket's ends alone.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .errors import (
     NumericalFailureError,
 )
 from .profiles import PotentialProfile
-from .shooting import shoot, shoot_batch
+from .shooting import _real, shoot, shoot_batch
 
 #: refined-root residual must satisfy
 #: |g(alpha)| <= RESIDUAL_SCALE * max(1, |u1|, |dv1|) + |g'(alpha)| * ulp(alpha)
@@ -58,6 +62,8 @@ _CHEB_BOUND = 100.0
 _CHEB_FLOOR = 1e-13
 #: a piece is halved before it is shot while it holds more roots than this by estimate
 _CHEB_ROOTS = 8
+#: a bracket's seed interpolates the scan at this many grid points nearest it
+_SEED_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -261,7 +267,32 @@ def _brackets_from_scan(alphas, gvals):
     return list(zip(left.tolist(), right.tolist())), dips.tolist()
 
 
-def _refine_and_package(profile, a, b, fa, fb) -> ResonantValue:
+def _interpolated_root(x, y, a, b, fa, fb):
+    """A root in (a, b) of the polynomial through the points (x, y), or None.
+
+    The points include the bracket's ends (a, fa) and (b, fb), so the
+    polynomial changes sign in (a, b).  Newton's method runs on its Newton
+    form from the secant point, clamped to [a, b], until a step fails to
+    shrink; the iterate is the root unless it stopped at an end.
+    """
+    n, c = len(x), list(y)
+    for k in range(1, n):  # divided differences, in place
+        for i in range(n - 1, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (x[i] - x[i - k])
+    t, last = a - fa * (b - a) / (fb - fa), float("inf")
+    for _ in range(20):
+        p, dp = c[-1], 0.0
+        for i in range(n - 2, -1, -1):
+            dp = dp * (t - x[i]) + p
+            p = p * (t - x[i]) + c[i]
+        if dp == 0.0 or not abs(p / dp) < last:  # at the rounding floor, or diverging
+            break
+        last = abs(p / dp)
+        t = min(max(t - p / dp, a), b)
+    return t if a < t < b else None
+
+
+def _refine_and_package(profile, a, b, fa, fb, guess=None) -> ResonantValue:
     """Refine the scanned sign-change bracket [a, b] with g(a) = fa, g(b) = fb.
 
     theta and the residual are read from the refinement's own shoot at the
@@ -276,6 +307,11 @@ def _refine_and_package(profile, a, b, fa, fb) -> ResonantValue:
     closes that bracket to adjacent doubles (``refine_bracket`` with xtol=0)
     and takes the end with the smaller |g|.  Raises NumericalFailureError
     when that root fails the gate too.
+
+    ``guess``, a root estimate inside (a, b), seeds Brent's first iterate
+    (``refine_bracket``); the root then still lies within xtol of the sign
+    change, so it moves by at most xtol against a search from the ends.  The
+    retry takes no seed.
     """
     shots = {}
 
@@ -286,7 +322,7 @@ def _refine_and_package(profile, a, b, fa, fb) -> ResonantValue:
 
     xtol = max(1e-13, 8.0 * abs(0.5 * (a + b)) * np.finfo(float).eps)
     root, _, (lo, hi), _ = refine_bracket(
-        lambda x: shot(x).du1, a, b, fa, fb, xtol=xtol, max_iter=200
+        lambda x: shot(x).du1, a, b, fa, fb, xtol=xtol, max_iter=200, guess=guess
     )
     root, lo, hi = float(root), float(lo), float(hi)
     known = {a: fa, b: fb}  # the scanned ends, which refinement does not shoot
@@ -318,13 +354,21 @@ def _roots(profile, lo, hi, step):
 
     g is scanned (``_scan_values``) on a grid of max(1, round((hi - lo)/step))
     uniform cells, held as one array, and each sign change is refined by
-    Brent's method from the scanned ends and their tight values.  A
-    window holding 0 gets alpha = 0 (resonant for every profile, theta = 1)
+    Brent's method from the scanned ends and their tight values.  A window
+    holding 0 gets alpha = 0 (resonant for every profile, theta = 1)
     analytically, skips |alpha| < step/2 (g's zero there is tangential for
     delta-prime-like profiles) and drops a bracket closing on 0, so the zero
     profile has the single root 0; a root within step/2 of 0 is found only by
     a window without 0.  A scan of more than MAX_SCAN_CELLS cells raises
     InvalidInputError before its grid is built.
+
+    On a grid of 4 to _CHEB_DEGREE + 1 points, which ``_scan_values`` shoots
+    whole, Brent's first iterate is the root of the polynomial through the
+    _SEED_POINTS grid values nearest the bracket (``_interpolated_root``),
+    and the root may move by up to xtol against Brent's from the ends.  The
+    rule reads only the grid's size, so a predicted and a tight scan refine
+    alike; wider grids, whose values away from the brackets are predictions,
+    and grids of 2 or 3 points take no seed and are unchanged.
 
     Each dip warns before any refinement runs.  Returns a list of the roots
     in grid order, alpha = 0 last.  Brackets are disjoint and their ends are
@@ -349,9 +393,17 @@ def _roots(profile, lo, hi, step):
             NearTangencyWarning,
             stacklevel=3,
         )
-    refine = lambda i, j: _refine_and_package(
-        profile, float(grid[i]), float(grid[j]), float(gvals[i]), float(gvals[j])
-    )
+
+    def refine(i, j):
+        a, b, fa, fb = float(grid[i]), float(grid[j]), float(gvals[i]), float(gvals[j])
+        guess = None
+        if 4 <= grid.size <= _CHEB_DEGREE + 1:  # a grid ``_scan_values`` shoots whole
+            s = max(0, min((i + j + 1) // 2 - _SEED_POINTS // 2, grid.size - _SEED_POINTS))
+            near = slice(s, s + _SEED_POINTS)
+            y = [float(v) for v in gvals[near]]
+            guess = _interpolated_root(grid[near].tolist(), y, a, b, fa, fb)
+        return _refine_and_package(profile, a, b, fa, fb, guess)
+
     refined = (refine(i, j) for i, j in brackets)
     roots = [rv for rv in refined if not rv.bracket[0] <= 0.0 <= rv.bracket[1]]
     zero = [ResonantValue(0.0, 1.0, 0.0, (-step / 2.0, step / 2.0))] if has_zero else []
@@ -379,6 +431,9 @@ def find_resonances(
     it is not scanned within |alpha| < scan_step/2; the zero profile reports
     only alpha = 0.
     """
+    alpha_min = _real(alpha_min, "find_resonances: alpha_min")
+    alpha_max = _real(alpha_max, "find_resonances: alpha_max")
+    scan_step = _real(scan_step, "find_resonances: scan_step")
     if not (np.isfinite(alpha_min) and np.isfinite(alpha_max)):
         raise InvalidInputError("find_resonances: alpha_min and alpha_max must be finite")
     if not alpha_min < alpha_max:
@@ -404,6 +459,7 @@ def coupling(profile: PotentialProfile, alpha: float, alpha_tol: float = 1e-3) -
     and is ill-conditioned in alpha where |theta| < 1: step at -178.2697
     gives 0.491 against the root's 2.25e-6.  ``classify`` returns the root's.
     """
+    alpha, alpha_tol = _real(alpha, "coupling: alpha"), _real(alpha_tol, "coupling: alpha_tol")
     if not np.isfinite(alpha):
         raise InvalidInputError("coupling: alpha must be finite")
     if not alpha_tol > 0:
@@ -421,6 +477,7 @@ def classify(profile: PotentialProfile, alpha: float, tol: float = 1e-8) -> Clas
     holds alpha = 0.  theta, at the root nearest alpha, parameterises the
     connected limit operator; NonResonant means the Dirichlet decoupled pair.
     """
+    alpha, tol = _real(alpha, "classify: alpha"), _real(tol, "classify: tol")
     if not np.isfinite(alpha):
         raise InvalidInputError("classify: alpha must be finite")
     if not tol > 0:

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvalidInputError, NumericalFailureError
 from .profiles import PotentialProfile
 from .resonance import Classification, NonResonant, Resonant, classify
-from .shooting import shoot
+from .shooting import _real, shoot
 
 LIMIT = "limit"
 FINITE = "finite-eps"
@@ -71,6 +71,7 @@ def finite_coeffs(
 
     Raises NumericalFailureError when D is zero or not finite.
     """
+    k, eps = _real(k, "finite_coeffs: k"), _real(eps, "finite_coeffs: eps")
     if not (np.isfinite(k) and k > 0):
         raise InvalidInputError(f"finite_coeffs: k must be positive, got {k}")
     if not (np.isfinite(eps) and eps > 0):
@@ -117,6 +118,7 @@ def asymptotic_coeffs(
     alpha decides between the resonant limit coefficients and (R, T) = (-1, 0),
     since the numerically refined u'(1) is never an exact zero.
     """
+    kappa = _real(kappa, "asymptotic_coeffs: kappa")
     if not np.isfinite(kappa):
         raise InvalidInputError(f"asymptotic_coeffs: kappa must be finite, got {kappa}")
     if kappa == 0.0:

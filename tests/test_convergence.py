@@ -390,6 +390,11 @@ def test_study_rejects_zero_profile(zero):
         study(zero, 5.0)
 
 
+def test_study_rejects_a_non_real_alpha(seba):
+    with pytest.raises(InvalidInputError, match="study: alpha must be a real number"):
+        study(seba, "a")
+
+
 def test_study_eps_validation(seba):
     with pytest.raises(InvalidInputError):
         study(seba, 10.0, eps_list=(0.1, 0.2))
@@ -700,7 +705,7 @@ def test_study_warm_call_builds_only_window_rows(seba, monkeypatch, alpha):
     g = _memo_grid()
     study(seba, alpha, grid=g)
     conv = deltaprime.convergence
-    a, b = conv._window(seba, DEFAULT_EPS_LIST[0], g, g.nodes())
+    a, b = conv._window(seba, DEFAULT_EPS_LIST[0], g)
     sizes = []
     real = conv._free_rows
 
@@ -755,7 +760,7 @@ def test_study_failed_exterior_is_not_kept(seba, monkeypatch):
 def test_study_kept_arrays_are_read_only(seba):
     g = _memo_grid()
     study(seba, 10.0, grid=g)
-    a, b = deltaprime.convergence._window(seba, DEFAULT_EPS_LIST[0], g, g.nodes())
+    a, b = deltaprime.convergence._window(seba, DEFAULT_EPS_LIST[0], g)
     battery = deltaprime.convergence._default_battery(g, a, b)
     assert deltaprime.convergence._default_battery.cache_info().hits == 1
     assert len(battery.sides) == 2

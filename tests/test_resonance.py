@@ -129,6 +129,8 @@ def test_lagrange_identity_for_returned_values(seba, step):
         {"scan_step": -1.0},
         # a scan of more than MAX_SCAN_CELLS cells is refused before its grid is built
         {"alpha_min": -1e15, "alpha_max": 1e15},
+        {"alpha_min": "a"},
+        {"scan_step": 1j},
     ],
 )
 def test_find_resonances_preconditions(seba, kwargs):
@@ -350,6 +352,15 @@ def test_classify_preconditions(seba):
         classify(seba, float("inf"), 1e-8)
     with pytest.raises(InvalidInputError, match="exceeds"):
         classify(seba, 5.0, 1e15)
+    with pytest.raises(InvalidInputError, match="classify: alpha must be a real number"):
+        classify(seba, "x")
+    with pytest.raises(InvalidInputError, match="classify: tol must be a real number"):
+        classify(seba, 1.0, "t")
+
+
+def test_coupling_rejects_a_non_real_alpha(seba):
+    with pytest.raises(InvalidInputError, match="coupling: alpha must be a real number"):
+        coupling(seba, None)
 
 
 def test_scan_size_limit_admits_large_windows(seba, monkeypatch):
@@ -598,19 +609,22 @@ def test_step_root_where_u1_rounds_to_zero(step):
 
 
 def test_root_gate_retries_on_adjacent_doubles(monkeypatch):
-    """d1-0's root at -702.41: Brent stops at a bracket ~11 ulps wide whose
-    returned end has |g| = 0.223 against a gate of 0.221 (0.245 against
-    0.216 on the mirror), while a double across the sign change has |g| =
-    0.028.  Brent closes the bracket to adjacent doubles, shooting no alpha
-    twice, and the better end is taken."""
+    """d1-0's root at -702.41, refined from its scan cell [-702.5, -702.0]
+    without a seed: Brent stops at a bracket ~11 ulps wide whose returned
+    end has |g| = 0.223 against a gate of 0.221 (0.245 against 0.216 on the
+    mirror), while a double across the sign change has |g| = 0.028.  Brent
+    closes the bracket to adjacent doubles, shooting no alpha twice, and the
+    better end is taken."""
     calls = []
     monkeypatch.setattr(
         deltaprime.resonance, "shoot", lambda *args: calls.append(args[1]) or shoot(*args)
     )
     roots = []
     for profile in (D1_0, D1_0.reflected()):
+        a, b = -702.5, -702.0
+        fa, fb = (shoot(profile, x, 0.0).du1 for x in (a, b))
         calls.clear()
-        [rv] = find_resonances(profile, -710.0, -695.0)
+        rv = deltaprime.resonance._refine_and_package(profile, a, b, fa, fb)
         assert len(calls) == len(set(calls)) == 5
         lo, hi = rv.bracket
         assert np.nextafter(lo, hi) == hi
@@ -837,3 +851,77 @@ def test_scan_path_imports_no_scipy():
     )
     env = {**os.environ, "PYTHONPATH": str(Path(deltaprime.__file__).parents[1])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_seeded_window_shoots_at_most_three_times(seba, monkeypatch):
+    # 8 grid points shot whole: the seed lands ulps from the root, so Brent
+    # closes in 3 single shoots where the two ends alone take 5
+    calls = []
+    monkeypatch.setattr(
+        deltaprime.resonance, "shoot", lambda *args: calls.append(args[1]) or shoot(*args)
+    )
+    [rv] = find_resonances(seba, 16.5, 20.0)
+    assert len(calls) <= 3
+    assert rv.alpha == pytest.approx(TABLE_ALPHAS[1], abs=5e-4)
+
+
+#: (alpha, theta, residual, bracket) of each root, as Brent's method from the
+#: scanned ends gives them: a 2-point window (classify's kind) and windows of
+#: more than one interpolant's 33 points take no seed
+_UNSEEDED = [
+    ("seba", 18.0, 18.5, [(18.1746073539246, -54.93758164985494, 2.510584333195486e-13,
+                           (18.1746073539246, 18.17460735392465))]),
+    ("seba", 0.0, 30.0, [(0.0, 1.0, 0.0, (-0.25, 0.25)),
+                         (18.1746073539246, -54.93758164985494, 2.510584333195486e-13,
+                          (18.1746073539246, 18.17460735392465))]),
+    ("seba", 100.0, 125.0, [(117.48635322113653, -32156.596235720262, 3.4342519941114175e-10,
+                             (117.48635322113643, 117.48635322113653))]),
+    ("d1-0", -710.0, -690.0, [(-702.4113852728974, 3.6787679344186115e-05, 0.027864583333212067,
+                               (-702.4113852728975, -702.4113852728974))]),
+]
+
+
+@pytest.mark.parametrize(
+    "key, lo, hi, want", _UNSEEDED, ids=["2-point", "60-point", "51-point", "41-point"]
+)
+def test_unseeded_windows_keep_brent_from_the_ends(key, lo, hi, want):
+    roots = find_resonances(_NAMED[key](), lo, hi)
+    assert [(rv.alpha, rv.theta, rv.residual, rv.bracket) for rv in roots] == want
+
+
+#: windows of 4 to 33 scan points at scan_step 0.5, each seeded: 16 wide over
+#: [-184, 184] except around 0, one holding 0 and one of 8 points
+_SEEDED_WINDOWS = [(lo, lo + 16.0) for lo in np.arange(-184.0, 184.0, 16.0) if not -16.0 < lo < 0.0]
+_SEEDED_WINDOWS += [(-3.0, 5.0), (16.5, 20.0)]
+
+
+@pytest.mark.parametrize(
+    "key", ["seba", "step", "d1-0", "d2-0", "seba-sampled-201", "pc0", "gen0", "gen1", "gen2"]
+)
+def test_seeded_roots_stay_within_xtol_of_brent_from_the_ends(key):
+    # each seeded root lies within xtol of Brent's root from the scanned ends,
+    # passes the gate (find_resonances raises otherwise) and keeps theta*theta' = 1
+    if key == "pc0":
+        profile = PC0
+    elif key.startswith("gen"):
+        profile = _generated(100, int(key[3:]))
+    else:
+        profile = _NAMED[key]()
+    for lo, hi in _SEEDED_WINDOWS:
+        roots = []
+        for p in (profile, profile.reflected()):
+            grid = np.linspace(lo, hi, int(round((hi - lo) / 0.5)) + 1)
+            grid = grid[np.abs(grid) >= 0.25]
+            g = shoot_batch(p, grid)[1]
+            brackets, _ = _brackets_from_scan(grid, g)
+            seeded = [rv for rv in find_resonances(p, lo, hi) if rv.alpha != 0.0]
+            assert len(seeded) == len(brackets)
+            for rv, (i, j) in zip(seeded, brackets):
+                a, b = float(grid[i]), float(grid[j])
+                plain = deltaprime.resonance._refine_and_package(p, a, b, float(g[i]), float(g[j]))
+                xtol = max(1e-13, 8.0 * abs(0.5 * (a + b)) * np.finfo(float).eps)
+                assert abs(rv.alpha - plain.alpha) <= xtol
+                assert rv.residual == abs(shoot(p, rv.alpha, 0.0).du1)
+            roots.append(seeded)
+        for rv, rm in zip(*roots):
+            assert rv.theta * rm.theta == pytest.approx(1.0, rel=1e-7)

@@ -130,3 +130,44 @@ def test_zero_xtol_closes_to_adjacent_doubles(f, lo, hi):
     assert root in (a, b) and abs(froot) == min(abs(f(a)), abs(f(b)))
     if f is _sign_at_one:
         assert (a, b) == (ONE_BELOW, 1.0)
+
+
+def _traced(f, lo, hi, **kwargs):
+    seen = []
+
+    def g(x):
+        seen.append(x)
+        return f(x)
+
+    return refine_bracket(g, lo, hi, **kwargs), seen
+
+
+# cos(x) - x on [0, 1]: the end with the smaller |f| is 1, and the step floor is xtol/2
+@pytest.mark.parametrize(
+    "guess",
+    [-0.5, 1.5, 0.0, 1.0, 1.0 - 4e-15, math.nan, math.inf],
+    ids=["below", "above", "far-end", "best-end", "within-floor", "nan", "inf"],
+)
+def test_guess_outside_the_bracket_or_at_an_end_is_ignored(guess):
+    f = lambda x: math.cos(x) - x
+    plain = _traced(f, 0.0, 1.0, xtol=1e-14)
+    assert _traced(f, 0.0, 1.0, xtol=1e-14, guess=guess) == plain
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi, guess",
+    [
+        (lambda x: math.cos(x) - x, 0.0, 1.0, 0.739085133215),
+        (lambda x: x * x - 2.0, 1.0, 2.0, 1.41421356),
+        (lambda x: math.exp(x) - 1e3, -5.0, 20.0, 15.0),  # a poor guess
+    ],
+    ids=["cos", "sqrt2", "exp-poor"],
+)
+def test_guess_inside_the_bracket_is_the_first_iterate(f, lo, hi, guess):
+    ends = {"fa": f(lo), "fb": f(hi)}
+    (root, froot, (a, b), n), seen = _traced(f, lo, hi, xtol=1e-13, guess=guess, **ends)
+    assert seen[0] == guess and n == len(seen) == len(set(seen))
+    assert lo < a <= b < hi and b - a <= 1e-13 and root in (a, b)
+    assert math.copysign(1.0, f(a)) != math.copysign(1.0, f(b))
+    (plain, *_), _ = _traced(f, lo, hi, xtol=1e-13, **ends)
+    assert abs(root - plain) <= 1e-13

@@ -101,7 +101,7 @@ def test_finite_mirror_preserves_transmission_probability(seba, seba_root):
     assert abs(m.T) == pytest.approx(abs(c.T), rel=1e-9)
 
 
-@pytest.mark.parametrize("k,eps", [(0.0, 0.1), (-1.0, 0.1), (1.0, 0.0), (1.0, -0.5)])
+@pytest.mark.parametrize("k,eps", [(0.0, 0.1), (-1.0, 0.1), (1.0, 0.0), (1.0, -0.5), ("k", 0.1)])
 def test_finite_preconditions(seba, k, eps):
     with pytest.raises(InvalidInputError):
         finite_coeffs(seba, 1.0, k, eps)
@@ -157,6 +157,11 @@ def test_asymptotic_matches_finite_second_order_off_resonance(seba):
 def test_asymptotic_rejects_nonfinite_kappa(seba):
     with pytest.raises(InvalidInputError):
         asymptotic_coeffs(seba, 1.0, float("inf"))
+
+
+def test_asymptotic_rejects_a_non_real_kappa(seba):
+    with pytest.raises(InvalidInputError, match="asymptotic_coeffs: kappa must be a real number"):
+        asymptotic_coeffs(seba, 18.0, None)
 
 
 def _matching_system_solution(profile, alpha, k, eps):
