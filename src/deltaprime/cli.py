@@ -17,30 +17,26 @@ import sys
 from dataclasses import asdict
 
 from . import convergence, profiles, resonance, scattering
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError, NumericalFailureError, _finite
 from .shooting import FundamentalData, shoot
 
 FORMATS = ("table", "csv", "json")
 
 
-def _finite_float(text: str) -> float:
+def _parsed(text: str, what: str, parse):
+    """parse(text), its ValueError (InvalidInputError is one) an argparse error."""
     try:
-        value = float(text)
+        return parse(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if value != value or value in (float("inf"), float("-inf")):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
+
+
+def _finite_float(text: str) -> float:
+    return _parsed(text, "a finite number", lambda t: _finite(float(t), "argument"))
 
 
 def _eps_list(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}"
-        ) from None
-    return values
+    return _parsed(text, "comma-separated numbers", lambda t: tuple(map(float, t.split(","))))
 
 
 def _add_profile_flags(sub):

@@ -46,10 +46,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailureError
-from .profiles import PotentialProfile
+from .errors import InvalidInputError, NumericalFailureError, _array, _finite
+from .profiles import PotentialProfile, _read_only
 from .resonance import Classification, NonResonant, Resonant, classify
-from .shooting import _real
 
 DEFAULT_EPS_LIST = (0.2, 0.1, 0.05, 0.025)
 DEFAULT_L = 20.0
@@ -80,25 +79,26 @@ class Grid:
 
     N must be an even integer, so the nodes are symmetric about 0 with the
     origin midway between the two middle nodes, and at most MAX_GRID_NODES.
+    L must be finite (the gate in ``errors``) and exceed 1.
     """
 
     L: float
     N: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.L) and self.L > 1.0):
-            raise InvalidInputError(f"grid: L must exceed 1, got {self.L}")
+        if not _finite(self.L, "Grid: L") > 1.0:
+            raise InvalidInputError(f"Grid: L must exceed 1, got {self.L}")
         if not isinstance(self.N, (int, np.integer)):
-            raise InvalidInputError(f"grid: N must be an integer, got {self.N!r}")
+            raise InvalidInputError(f"Grid: N must be an integer, got {self.N!r}")
         if self.N < 64:
-            raise InvalidInputError(f"grid: N must be at least 64, got {self.N}")
+            raise InvalidInputError(f"Grid: N must be at least 64, got {self.N}")
         if self.N % 2 != 0:
             raise InvalidInputError(
-                f"grid: N must be even so that x=0 lies midway between nodes, got {self.N}"
+                f"Grid: N must be even so that x=0 lies midway between nodes, got {self.N}"
             )
         if self.N > MAX_GRID_NODES:
             raise InvalidInputError(
-                f"grid: N = {self.N} exceeds MAX_GRID_NODES = {MAX_GRID_NODES}; "
+                f"Grid: N = {self.N} exceeds MAX_GRID_NODES = {MAX_GRID_NODES}; "
                 "coarsen the grid or raise the smallest eps"
             )
 
@@ -116,10 +116,13 @@ class Grid:
 
 
 def make_grid(eps_min: float, L: float = DEFAULT_L, resolution: float = MIN_RESOLUTION) -> Grid:
-    """Smallest admissible grid resolving eps_min with the given nodes-per-eps."""
-    for name, value in (("eps_min", eps_min), ("L", L), ("resolution", resolution)):
-        if not (np.isfinite(value) and value > 0):
-            raise InvalidInputError(f"make_grid: {name} must be positive, got {value}")
+    """Smallest admissible grid resolving eps_min with the given nodes-per-eps.
+
+    Raises InvalidInputError unless all three are positive (the gate in ``errors``).
+    """
+    eps_min = _finite(eps_min, "make_grid: eps_min", positive=True)
+    L = _finite(L, "make_grid: L", positive=True)
+    resolution = _finite(resolution, "make_grid: resolution", positive=True)
     n_plus_1 = math.ceil(2.0 * L * resolution / eps_min)
     if n_plus_1 % 2 == 0:
         n_plus_1 += 1  # N even requires N+1 odd
@@ -210,12 +213,7 @@ def _free_rows(n: int, h: float) -> np.ndarray:
 def _seps_rows(
     profile: PotentialProfile, alpha: float, eps: float, h: float, x: np.ndarray
 ) -> DiscreteOperator:
-    """discretize_seps' rows and columns on the consecutive nodes x of spacing h,
-    after its checks."""
-    if not (np.isfinite(eps) and eps > 0):
-        raise InvalidInputError(f"discretize_seps: eps must be positive, got {eps}")
-    if not np.isfinite(alpha):
-        raise InvalidInputError(f"discretize_seps: alpha must be finite, got {alpha}")
+    """discretize_seps' rows and columns on the consecutive nodes x of spacing h."""
     if eps / h < MIN_RESOLUTION:
         raise InvalidInputError(
             f"discretize_seps: eps/h = {eps / h:.2f} is below the resolution "
@@ -231,8 +229,11 @@ def discretize_seps(
 ) -> DiscreteOperator:
     """Central-difference matrix of -d^2/dx^2 + alpha*eps^-2*psi(x/eps).
 
-    Requires eps/h >= 16 so the scaled potential is resolved.
+    Requires eps/h >= 16 so the scaled potential is resolved.  Raises
+    InvalidInputError unless alpha is finite and eps positive (the gate in ``errors``).
     """
+    alpha = _finite(alpha, "discretize_seps: alpha")
+    eps = _finite(eps, "discretize_seps: eps", positive=True)
     return _seps_rows(profile, alpha, eps, grid.h, grid.nodes())
 
 
@@ -335,22 +336,9 @@ def _gate_residuals(what, rnorm, fnorm, xnorm, n, a_norm, k2) -> None:
         )
 
 
-def _solve_gated(op: DiscreteOperator, k2: complex, f):
-    """resolvent_apply's checks, solve and per-column gate; returns the (n, m)
-    solution with the residual norms it gated and its squared column norms."""
-    k2 = complex(k2)
-    if k2.imag == 0.0:
-        raise InvalidInputError(
-            f"resolvent_apply: k2 must have nonzero imaginary part, got {k2}"
-        )
-    f = np.asarray(f)
-    if f.ndim not in (1, 2) or f.shape[0] != op.n:
-        raise InvalidInputError(
-            f"resolvent_apply: f has shape {f.shape}, expected ({op.n},) or ({op.n}, m)"
-        )
-    if not np.all(np.isfinite(f)):
-        raise InvalidInputError("resolvent_apply: f must be finite")
-    cols = f if f.ndim == 2 else f[:, None]
+def _solve_gated(op: DiscreteOperator, k2: complex, cols: np.ndarray):
+    """resolvent_apply's solve and per-column gate for a finite (n, m) block;
+    returns the solution with the residual norms it gated and its squared column norms."""
     try:
         x = solve_banded((op.w, op.w), op.shifted_banded(k2), cols.astype(complex))
     except np.linalg.LinAlgError as exc:
@@ -373,8 +361,17 @@ def resolvent_apply(op: DiscreteOperator, k2: complex, f: np.ndarray) -> np.ndar
     double-precision floor eps_machine*||A||*||x|| that any backward-stable
     solver carries), with that column's norms.  study's sub-solves share
     these checks through the same routine, which also returns the norms.
+    Raises InvalidInputError unless k2 is one finite number off the real axis
+    and f a finite real or complex array of those shapes (the gate in ``errors``).
     """
-    return _solve_gated(op, k2, f)[0].reshape(np.shape(f))
+    k2, f = _array(k2, "resolvent_apply: k2", "biufc"), _array(f, "resolvent_apply: f", "biufc")
+    if k2.ndim or k2.imag == 0.0:
+        raise InvalidInputError(f"resolvent_apply: k2 must have nonzero imaginary part, got {k2}")
+    if f.ndim not in (1, 2) or f.shape[0] != op.n:
+        raise InvalidInputError(
+            f"resolvent_apply: f has shape {f.shape}, expected ({op.n},) or ({op.n}, m)"
+        )
+    return _solve_gated(op, complex(k2), f.reshape(op.n, -1))[0].reshape(f.shape)
 
 
 @dataclass(frozen=True)
@@ -406,13 +403,6 @@ def default_test_functions(grid: Grid) -> list[np.ndarray]:
     return [f / (math.sqrt(h) * np.linalg.norm(f)) for f in fs]
 
 
-def _freeze_arrays(record) -> None:
-    """Make every array field of a record read-only, so a kept one is shared safely."""
-    for value in vars(record).values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-
-
 @dataclass(frozen=True)
 class _Exterior:
     """One free exterior block of a study, solved for the battery (columns Y)
@@ -432,7 +422,7 @@ class _Exterior:
     g_res: float  # residual norm of g
 
     def __post_init__(self):
-        _freeze_arrays(self)
+        _read_only(self.y_end, self.y_sq, self.gy, self.y_res)
 
 
 def _solve_exterior(h: float, k2: complex, F: np.ndarray, inner: int, end: int) -> _Exterior:
@@ -460,7 +450,7 @@ class _Battery:
     sides: tuple[_Exterior, ...]
 
     def __post_init__(self):
-        _freeze_arrays(self)
+        _read_only(self.F, self.fnorm)
 
 
 @lru_cache(maxsize=BATTERY_CACHE_SIZE)
@@ -557,22 +547,27 @@ def study(
     the routine behind resolvent_apply, and its residual norms bound the
     operator's full-system residual, gated at the same threshold.
 
+    Entries carry about 1e-9 relative LAPACK rounding at the default N =
+    204,800, where cond(A - k2) ~ 1e8: a comparison tighter than 1e-8 tests
+    LAPACK, not this code.
+
     The identically-zero profile is rejected: its scaled family is free and
-    eps-independent, so the dichotomy does not apply.
+    eps-independent, so the dichotomy does not apply.  Raises
+    InvalidInputError unless alpha is finite and eps_list a strictly
+    decreasing sequence of two or more positive eps (the gate in ``errors``).
     """
     if profile.is_zero:
         raise InvalidInputError(
             "study: the identically-zero profile has an eps-independent free "
             "operator family; the resonant/non-resonant dichotomy does not apply"
         )
-    alpha = _real(alpha, "study: alpha")
-    eps_arr = [_real(e, "study: eps values") for e in eps_list]
-    if len(eps_arr) < 2:
-        raise InvalidInputError("study: at least two eps values are required")
-    if not all(np.isfinite(e) and e > 0 for e in eps_arr):
-        raise InvalidInputError(f"study: eps values must be positive, got {eps_arr}")
-    if not all(a > b for a, b in zip(eps_arr[:-1], eps_arr[1:])):
-        raise InvalidInputError(f"study: eps values must be strictly decreasing, got {eps_arr}")
+    alpha = _finite(alpha, "study: alpha")
+    eps_arr = _array(eps_list, "study: eps_list")
+    if eps_arr.ndim != 1 or eps_arr.size < 2:
+        raise InvalidInputError("study: eps_list must be a sequence of at least two eps values")
+    eps_arr = eps_arr.astype(float).tolist()
+    if not (eps_arr[-1] > 0 and all(a > b for a, b in zip(eps_arr[:-1], eps_arr[1:]))):
+        raise InvalidInputError(f"study: eps_list must be positive and decreasing, got {eps_arr}")
     if grid is None:
         grid = make_grid(min(eps_arr), resolution=STUDY_RESOLUTION)
 

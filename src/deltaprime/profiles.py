@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _array, _finite
 
 PIECEWISE = "piecewise-polynomial"
 SAMPLED = "sampled"
@@ -162,8 +162,7 @@ class PotentialProfile:
         nine = np.linspace(edges[:-1], edges[1:], 9, axis=-1)
         peak = np.max(np.abs(_horner(coeffs[:, None], nine - origin[:, None])), axis=-1)
         reach = np.stack((edges[varying + 1] - edges[varying], peak[varying]))[..., None]
-        for arr in (edges, origin, coeffs, varying, constant, peak, reach):
-            arr.flags.writeable = False
+        _read_only(edges, origin, coeffs, varying, constant, peak, reach)
         return Cells(edges, origin, coeffs, varying, constant, peak, reach, float(end))
 
     @property
@@ -173,12 +172,11 @@ class PotentialProfile:
     def eval(self, x):
         """Evaluate the profile at x (scalar or ndarray); 0 outside support.
 
-        Cells are half-open, and the support's right end takes psi's value
-        there, so a sampled profile returns psi exactly at every node.
+        Cells are half-open, and the support's right end takes psi's value there,
+        so a sampled profile returns psi exactly at every node.  Raises
+        InvalidInputError unless x is finite (the gate in ``errors``).
         """
-        arr = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInputError("xi: evaluation point must be finite")
+        arr = _array(x, "PotentialProfile.eval: x").astype(float, copy=False)
         cells = self.cells
         rows = np.clip(np.searchsorted(cells.edges, arr, side="right") - 1, 0, cells.origin.size - 1)
         lo, hi = self.support
@@ -197,73 +195,74 @@ class PotentialProfile:
         return from_samples(-self.xi[::-1], self.psi[::-1])
 
 
-def _check_finite(value: float, field: str) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"{field}: expected a real number, got {value!r}") from None
-    if not np.isfinite(value):
-        raise InvalidInputError(f"{field}: must be finite, got {value!r}")
-    return value
+def _read_only(*arrays):
+    """The arrays, each made read-only so that it can be kept and shared across threads."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 def from_segments(segments) -> PotentialProfile:
     """Build and validate a piecewise-polynomial profile.
 
     ``segments`` is an iterable of (a, b, coeffs) triples or Segment objects,
-    sorted, contiguous, with support inside [-1, 1].
+    sorted, contiguous, with support inside [-1, 1].  Raises InvalidInputError
+    unless it is one, with finite real ends and non-empty finite real coeffs
+    (the gate in ``errors``).
     """
+    try:
+        items = [(s.a, s.b, s.coeffs) if isinstance(s, Segment) else tuple(s) for s in segments]
+    except TypeError:
+        items = None
+    if items is None or any(len(item) != 3 for item in items):
+        raise InvalidInputError(
+            f"from_segments: segments must be an iterable of (a, b, coeffs) triples, "
+            f"got {segments!r:.80}"
+        )
     segs = []
-    for i, s in enumerate(segments):
-        if isinstance(s, Segment):
-            a, b, coeffs = s.a, s.b, s.coeffs
-        else:
-            a, b, coeffs = s
-        a = _check_finite(a, f"segments[{i}].a")
-        b = _check_finite(b, f"segments[{i}].b")
-        coeffs = tuple(_check_finite(c, f"segments[{i}].coeffs[{j}]") for j, c in enumerate(coeffs))
-        if len(coeffs) == 0:
-            raise InvalidInputError(f"segments[{i}].coeffs: must not be empty")
+    for i, (a, b, coeffs) in enumerate(items):
+        name = f"from_segments: segments[{i}]"
+        a, b = _finite(a, f"{name}.a"), _finite(b, f"{name}.b")
+        coeffs = _array(coeffs, f"{name}.coeffs")
+        if coeffs.ndim != 1 or not coeffs.size:
+            raise InvalidInputError(f"{name}.coeffs must be a non-empty sequence, got {coeffs}")
         if not a < b:
-            raise InvalidInputError(f"segments[{i}]: requires a < b, got [{a}, {b}]")
-        segs.append(Segment(a, b, coeffs))
+            raise InvalidInputError(f"{name}: requires a < b, got [{a}, {b}]")
+        segs.append(Segment(a, b, tuple(coeffs.astype(float).tolist())))
     if not segs:
-        raise InvalidInputError("segments: at least one segment is required")
+        raise InvalidInputError("from_segments: at least one segment is required")
     for i in range(1, len(segs)):
         if segs[i].a != segs[i - 1].b:
             raise InvalidInputError(
-                f"segments[{i}].a: segments must be contiguous and sorted "
+                f"from_segments: segments[{i}].a: segments must be contiguous and sorted "
                 f"(expected {segs[i - 1].b}, got {segs[i].a})"
             )
     if segs[0].a < -1.0 or segs[-1].b > 1.0:
         raise InvalidInputError(
-            f"support: [{segs[0].a}, {segs[-1].b}] must lie within [-1, 1]"
+            f"from_segments: support [{segs[0].a}, {segs[-1].b}] must lie within [-1, 1]"
         )
     return PotentialProfile(PIECEWISE, segments=tuple(segs))
 
 
 def from_samples(xi, psi) -> PotentialProfile:
-    """Build and validate a sampled profile (linear interpolation between nodes)."""
-    xi = np.asarray(xi, dtype=float)
-    psi = np.asarray(psi, dtype=float)
+    """Build and validate a sampled profile (linear interpolation between nodes).
+
+    Raises InvalidInputError unless xi and psi are finite 1-D arrays of equal length
+    (the gate in ``errors``) with at least 2 strictly increasing nodes in [-1, 1].
+    """
+    xi = _array(xi, "from_samples: xi").astype(float)
+    psi = _array(psi, "from_samples: psi").astype(float)
     if xi.ndim != 1 or psi.ndim != 1 or xi.size != psi.size:
-        raise InvalidInputError("samples: xi and psi must be 1-D arrays of equal length")
+        raise InvalidInputError("from_samples: xi and psi must be 1-D arrays of equal length")
     if xi.size < 2:
-        raise InvalidInputError("samples.xi: at least 2 nodes are required")
-    if not np.all(np.isfinite(xi)):
-        raise InvalidInputError("samples.xi: all nodes must be finite")
-    if not np.all(np.isfinite(psi)):
-        raise InvalidInputError("samples.psi: all values must be finite")
+        raise InvalidInputError("from_samples: xi: at least 2 nodes are required")
     if not np.all(np.diff(xi) > 0):
-        raise InvalidInputError("samples.xi: nodes must be strictly increasing")
+        raise InvalidInputError("from_samples: xi: nodes must be strictly increasing")
     if xi[0] < -1.0 or xi[-1] > 1.0:
         raise InvalidInputError(
-            f"support: [{xi[0]}, {xi[-1]}] must lie within [-1, 1]"
+            f"from_samples: support [{xi[0]}, {xi[-1]}] must lie within [-1, 1]"
         )
-    xi = xi.copy()
-    psi = psi.copy()
-    xi.flags.writeable = False
-    psi.flags.writeable = False
+    xi, psi = _read_only(xi, psi)
     return PotentialProfile(SAMPLED, xi=xi, psi=psi)
 
 
@@ -317,49 +316,31 @@ def profile_to_dict(profile: PotentialProfile) -> dict:
     return {"samples": {"xi": list(map(float, profile.xi)), "psi": list(map(float, profile.psi))}}
 
 
+def _check_keys(obj, where: str, allowed, required=None) -> None:
+    """Raise InvalidInputError unless obj is a dict with keys in ``allowed`` and all
+    of ``required`` (default ``allowed``), naming the first unknown, else missing, key."""
+    if not isinstance(obj, dict):
+        raise InvalidInputError(f"{where}: must be an object")
+    required = allowed if required is None else required
+    for problem, keys in (("unknown", obj.keys() - allowed), ("missing", required - obj.keys())):
+        if keys:
+            raise InvalidInputError(f"{where}: {problem} key {sorted(keys)[0]!r}")
+
+
 def profile_from_dict(data) -> PotentialProfile:
-    if not isinstance(data, dict):
-        raise InvalidInputError("profile: top-level JSON value must be an object")
-    keys = set(data.keys())
-    if keys == {"segments"}:
-        raw = data["segments"]
-        if not isinstance(raw, list):
-            raise InvalidInputError("segments: must be a list of segment objects")
-        segs = []
-        for i, item in enumerate(raw):
-            if not isinstance(item, dict):
-                raise InvalidInputError(f"segments[{i}]: must be an object")
-            extra = set(item.keys()) - {"a", "b", "coeffs"}
-            if extra:
-                raise InvalidInputError(
-                    f"segments[{i}]: unknown key {sorted(extra)[0]!r}"
-                )
-            missing = {"a", "b", "coeffs"} - set(item.keys())
-            if missing:
-                raise InvalidInputError(
-                    f"segments[{i}]: missing key {sorted(missing)[0]!r}"
-                )
-            if not isinstance(item["coeffs"], list):
-                raise InvalidInputError(f"segments[{i}].coeffs: must be a list")
-            segs.append((item["a"], item["b"], item["coeffs"]))
-        return from_segments(segs)
-    if keys == {"samples"}:
+    _check_keys(data, "profile", {"segments", "samples"}, required=set())
+    if len(data) != 1:
+        raise InvalidInputError("profile: exactly one of 'segments' or 'samples' is required")
+    if "samples" in data:
         raw = data["samples"]
-        if not isinstance(raw, dict):
-            raise InvalidInputError("samples: must be an object with keys 'xi' and 'psi'")
-        extra = set(raw.keys()) - {"xi", "psi"}
-        if extra:
-            raise InvalidInputError(f"samples: unknown key {sorted(extra)[0]!r}")
-        missing = {"xi", "psi"} - set(raw.keys())
-        if missing:
-            raise InvalidInputError(f"samples: missing key {sorted(missing)[0]!r}")
-        if not isinstance(raw["xi"], list) or not isinstance(raw["psi"], list):
-            raise InvalidInputError("samples: xi and psi must be lists")
+        _check_keys(raw, "samples", {"xi", "psi"})
         return from_samples(raw["xi"], raw["psi"])
-    unknown = keys - {"segments", "samples"}
-    if unknown:
-        raise InvalidInputError(f"profile: unknown key {sorted(unknown)[0]!r}")
-    raise InvalidInputError("profile: exactly one of 'segments' or 'samples' is required")
+    raw = data["segments"]
+    if not isinstance(raw, list):
+        raise InvalidInputError("segments: must be a list of segment objects")
+    for i, item in enumerate(raw):
+        _check_keys(item, f"segments[{i}]", {"a", "b", "coeffs"})
+    return from_segments([(item["a"], item["b"], item["coeffs"]) for item in raw])
 
 
 def load_profile(path) -> PotentialProfile:

@@ -38,9 +38,10 @@ from .errors import (
     NearTangencyWarning,
     NotResonantError,
     NumericalFailureError,
+    _finite,
 )
 from .profiles import PotentialProfile
-from .shooting import _real, shoot, shoot_batch
+from .shooting import shoot, shoot_batch
 
 #: refined-root residual must satisfy
 #: |g(alpha)| <= RESIDUAL_SCALE * max(1, |u1|, |dv1|) + |g'(alpha)| * ulp(alpha)
@@ -429,20 +430,17 @@ def find_resonances(
     and raises a NearTangencyWarning; a root pair that shows no dip is missed
     silently.  alpha = 0 is inserted analytically, and a window that holds
     it is not scanned within |alpha| < scan_step/2; the zero profile reports
-    only alpha = 0.
+    only alpha = 0.  Raises InvalidInputError unless alpha_min < alpha_max
+    are finite and scan_step positive (the gate in ``errors``), or past
+    MAX_SCAN_CELLS cells.
     """
-    alpha_min = _real(alpha_min, "find_resonances: alpha_min")
-    alpha_max = _real(alpha_max, "find_resonances: alpha_max")
-    scan_step = _real(scan_step, "find_resonances: scan_step")
-    if not (np.isfinite(alpha_min) and np.isfinite(alpha_max)):
-        raise InvalidInputError("find_resonances: alpha_min and alpha_max must be finite")
+    alpha_min = _finite(alpha_min, "find_resonances: alpha_min")
+    alpha_max = _finite(alpha_max, "find_resonances: alpha_max")
+    scan_step = _finite(scan_step, "find_resonances: scan_step", positive=True)
     if not alpha_min < alpha_max:
         raise InvalidInputError(
             f"find_resonances: requires alpha_min < alpha_max, got [{alpha_min}, {alpha_max}]"
         )
-    if not (np.isfinite(scan_step) and scan_step > 0):
-        raise InvalidInputError(f"find_resonances: scan_step must be positive, got {scan_step}")
-
     return sorted(_roots(profile, alpha_min, alpha_max, scan_step), key=lambda rv: rv.alpha)
 
 
@@ -458,12 +456,11 @@ def coupling(profile: PotentialProfile, alpha: float, alpha_tol: float = 1e-3) -
     The returned theta is u1 at the given alpha, not at the refined root,
     and is ill-conditioned in alpha where |theta| < 1: step at -178.2697
     gives 0.491 against the root's 2.25e-6.  ``classify`` returns the root's.
+    Raises InvalidInputError unless alpha is finite and alpha_tol positive
+    (the gate in ``errors``).
     """
-    alpha, alpha_tol = _real(alpha, "coupling: alpha"), _real(alpha_tol, "coupling: alpha_tol")
-    if not np.isfinite(alpha):
-        raise InvalidInputError("coupling: alpha must be finite")
-    if not alpha_tol > 0:
-        raise InvalidInputError(f"coupling: alpha_tol must be positive, got {alpha_tol}")
+    alpha = _finite(alpha, "coupling: alpha")
+    alpha_tol = _finite(alpha_tol, "coupling: alpha_tol", positive=True)
     if isinstance(classify(profile, alpha, alpha_tol), Resonant):
         return shoot(profile, alpha, 0.0).u1
     raise NotResonantError(f"coupling: alpha={alpha} has no root within {alpha_tol}")
@@ -476,12 +473,10 @@ def classify(profile: PotentialProfile, alpha: float, tol: float = 1e-8) -> Clas
     tol, alpha + tol)``, so the zero profile is resonant only where the window
     holds alpha = 0.  theta, at the root nearest alpha, parameterises the
     connected limit operator; NonResonant means the Dirichlet decoupled pair.
+    Raises InvalidInputError unless alpha is finite and tol positive (the
+    gate in ``errors``), or past MAX_SCAN_CELLS cells.
     """
-    alpha, tol = _real(alpha, "classify: alpha"), _real(tol, "classify: tol")
-    if not np.isfinite(alpha):
-        raise InvalidInputError("classify: alpha must be finite")
-    if not tol > 0:
-        raise InvalidInputError(f"classify: tol must be positive, got {tol}")
+    alpha, tol = _finite(alpha, "classify: alpha"), _finite(tol, "classify: tol", positive=True)
     roots = _roots(profile, alpha - tol, alpha + tol, DEFAULT_SCAN_STEP)
     nearest = min(roots, key=lambda rv: abs(rv.alpha - alpha), default=None)
     return NonResonant() if nearest is None else Resonant(nearest.theta)

@@ -15,12 +15,10 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError, NumericalFailureError, _finite
 from .profiles import PotentialProfile
 from .resonance import Classification, NonResonant, Resonant, classify
-from .shooting import _real, shoot
+from .shooting import shoot
 
 LIMIT = "limit"
 FINITE = "finite-eps"
@@ -69,13 +67,12 @@ def finite_coeffs(
         R = -e^{-2i kappa} (u1' - i kappa u1 + i kappa v1' + kappa^2 v1) / D
         T = -2 i kappa e^{-2i kappa} / D
 
-    Raises NumericalFailureError when D is zero or not finite.
+    Raises InvalidInputError unless alpha is finite and k and eps positive (the
+    gate in ``errors``), and NumericalFailureError when D is zero or not finite.
     """
-    k, eps = _real(k, "finite_coeffs: k"), _real(eps, "finite_coeffs: eps")
-    if not (np.isfinite(k) and k > 0):
-        raise InvalidInputError(f"finite_coeffs: k must be positive, got {k}")
-    if not (np.isfinite(eps) and eps > 0):
-        raise InvalidInputError(f"finite_coeffs: eps must be positive, got {eps}")
+    alpha = _finite(alpha, "finite_coeffs: alpha")
+    k = _finite(k, "finite_coeffs: k", positive=True)
+    eps = _finite(eps, "finite_coeffs: eps", positive=True)
     kappa = eps * k
     fd = shoot(profile, alpha, kappa * kappa)
     ik = 1j * kappa
@@ -99,9 +96,10 @@ def q_factor(profile: PotentialProfile, alpha: float) -> float:
     """Slope of the matching-system determinant in i*kappa at kappa = 0:
 
     q(alpha) = 2 u'(1;0,alpha) - u(1;0,alpha) - v'(1;0,alpha).
-    At a resonance this equals -(theta + 1/theta).
+    At a resonance this equals -(theta + 1/theta).  Raises InvalidInputError
+    unless alpha is finite (the gate in ``errors``).
     """
-    return _q(shoot(profile, alpha, 0.0))
+    return _q(shoot(profile, _finite(alpha, "q_factor: alpha"), 0.0))
 
 
 def asymptotic_coeffs(
@@ -116,11 +114,11 @@ def asymptotic_coeffs(
     |kappa| <= 0.1 (soft limit, not enforced).  At kappa = 0 exactly the
     expression is evaluated in its algebraic limit: the classification of
     alpha decides between the resonant limit coefficients and (R, T) = (-1, 0),
-    since the numerically refined u'(1) is never an exact zero.
+    since the numerically refined u'(1) is never an exact zero.  Raises
+    InvalidInputError unless alpha and kappa are finite (the gate in ``errors``).
     """
-    kappa = _real(kappa, "asymptotic_coeffs: kappa")
-    if not np.isfinite(kappa):
-        raise InvalidInputError(f"asymptotic_coeffs: kappa must be finite, got {kappa}")
+    alpha = _finite(alpha, "asymptotic_coeffs: alpha")
+    kappa = _finite(kappa, "asymptotic_coeffs: kappa")
     if kappa == 0.0:
         c = classify(profile, alpha)
         inner = limit_coeffs(c)

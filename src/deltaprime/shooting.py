@@ -78,8 +78,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailureError
-from .profiles import Cells, PotentialProfile
+from .errors import InvalidInputError, NumericalFailureError, _array, _real
+from .profiles import Cells, PotentialProfile, _read_only
 
 # Step-doubling tolerances, chosen so the boundary data supports root
 # refinement in alpha down to ~1e-12 of bracket width.
@@ -212,12 +212,6 @@ def _level_products(m, count, n):
         m, n = _matmul(m[..., 1::2], m[..., 0::2]), n // 2
 
 
-def _read_only(arrays):
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
-
-
 def _nodes(cells: Cells, varying: bool, n: int):
     """The node table (h, a_h, c_h) of the varying or the constant cells, each cut into n steps.
 
@@ -233,7 +227,7 @@ def _nodes(cells: Cells, varying: bool, n: int):
         h, psi = np.repeat(widths / n, n), psi.reshape(-1, 2)
         psi1, psi2 = psi[:, 0], psi[:, 1]
         table = (h, _COMMUTATOR * h * h * (psi1 - psi2), 0.5 * h * (psi1 + psi2))
-        table = cells.nodes.setdefault((varying, n), _read_only(table))
+        table = cells.nodes.setdefault((varying, n), _read_only(*table))
     return table
 
 
@@ -362,14 +356,6 @@ def _transfer(profile: PotentialProfile, alphas, kappa2):
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
 
 
-def _real(value, name: str) -> float:
-    """float(value), or InvalidInputError naming ``name`` when value is not a real number."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"{name} must be a real number, got {value!r}") from None
-
-
 def shoot(profile: PotentialProfile, alpha: float, kappa2: float = 0.0) -> FundamentalData:
     """Boundary data of both fundamental solutions at xi=1.
 
@@ -384,9 +370,10 @@ def shoot(profile: PotentialProfile, alpha: float, kappa2: float = 0.0) -> Funda
     entry is stored only after a shoot succeeds and is replaced as one
     tuple, so threads sharing a profile stay safe.
 
-    Raises InvalidInputError when alpha or kappa2 is not a real number, and
-    NumericalFailureError on a non-finite alpha or state (e.g. alpha large
-    enough that the solution overflows) or past MAX_STEPS steps.
+    Raises InvalidInputError when alpha or kappa2 is not a real number (the
+    gate in ``errors``), and NumericalFailureError on a non-finite alpha,
+    kappa2 or state (e.g. alpha large enough that the solution overflows) or
+    past MAX_STEPS steps.
     """
     alpha, kappa2 = _real(alpha, "shoot: alpha"), _real(kappa2, "shoot: kappa2")
     cells = profile.cells
@@ -410,15 +397,14 @@ def shoot_batch(profile: PotentialProfile, alphas, kappa2: float = 0.0):
     entry equals ``shoot`` at that alpha bit for bit.
 
     Returns four arrays (u1, du1, v1, dv1) aligned with ``alphas``.  Raises
-    InvalidInputError unless ``alphas`` is a 1-D sequence of numbers and
-    kappa2 a number.
+    InvalidInputError unless ``alphas`` is a 1-D sequence of real numbers and
+    kappa2 a real number (the gate in ``errors``), and NumericalFailureError
+    as ``shoot`` does, on a non-finite alpha or kappa2 among them.
     """
-    try:
-        alphas = np.asarray(list(alphas), dtype=float)
-    except (TypeError, ValueError):
-        alphas = None
-    if alphas is None or alphas.ndim != 1:
-        raise InvalidInputError("shoot_batch: alphas must be a 1-D sequence of numbers")
+    alphas = _array(alphas, "shoot_batch: alphas", finite=False)
+    if alphas.ndim != 1:
+        raise InvalidInputError(f"shoot_batch: alphas must be 1-D, got shape {alphas.shape}")
+    alphas = alphas.astype(float, copy=False)
     kappa2 = _real(kappa2, "shoot_batch: kappa2")
     if alphas.size == 0:
         return tuple(np.empty(0) for _ in range(4))
@@ -430,6 +416,7 @@ def neumann_mismatch(profile: PotentialProfile, alpha: float) -> float:
     """g(alpha) = u'(1; 0, alpha): zero exactly at the resonant couplings.
 
     Continuous in alpha; g(0) = 0 for every profile since alpha=0 makes the
-    equation free and u identically 1.
+    equation free and u identically 1.  Raises as ``shoot`` does: a non-finite
+    alpha is a NumericalFailureError.
     """
-    return shoot(profile, alpha, 0.0).du1
+    return shoot(profile, _real(alpha, "neumann_mismatch: alpha"), 0.0).du1
