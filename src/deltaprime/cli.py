@@ -39,29 +39,29 @@ def _eps_list(text: str) -> tuple[float, ...]:
     return _parsed(text, "comma-separated numbers", lambda t: tuple(map(float, t.split(","))))
 
 
-def _add_profile_flags(sub):
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--builtin", metavar="NAME", help="built-in profile name")
-    group.add_argument("--profile", metavar="PATH", help="profile JSON file")
-    sub.add_argument(
-        "--mirror",
-        action="store_true",
-        help="reflect the profile about xi=0 (right-incidence scattering)",
-    )
-
-
-def _add_format_flag(sub):
-    sub.add_argument("--format", choices=FORMATS, default="table")
-
-
 def _resolve_profile(args) -> profiles.PotentialProfile:
     if args.builtin is not None:
         prof = profiles.builtin_profile(args.builtin)
     else:
         prof = profiles.load_profile(args.profile)
-    if getattr(args, "mirror", False):
-        prof = prof.reflected()
-    return prof
+    return prof.reflected() if args.mirror else prof
+
+
+def _profile_command(subs, name: str, help: str, compute):
+    """Add subcommand `name` with the profile flags and --format; its handler
+    returns compute(profile, args) on the profile those flags resolve."""
+    p = subs.add_parser(name, help=help)
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--builtin", metavar="NAME", help="built-in profile name")
+    group.add_argument("--profile", metavar="PATH", help="profile JSON file")
+    p.add_argument(
+        "--mirror",
+        action="store_true",
+        help="reflect the profile about xi=0 (right-incidence scattering)",
+    )
+    p.add_argument("--format", choices=FORMATS, default="table")
+    p.set_defaults(handler=lambda args: compute(_resolve_profile(args), args))
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,29 +75,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("moments", help="zeroth and first moments of a profile")
-    _add_profile_flags(p)
-    _add_format_flag(p)
-    p.set_defaults(handler=_cmd_moments)
+    _profile_command(
+        subs, "moments", "zeroth and first moments of a profile",
+        lambda prof, args: profiles.moments(prof),
+    )
 
-    p = subs.add_parser("shoot", help="fundamental-solution boundary data at xi=1")
-    _add_profile_flags(p)
-    _add_format_flag(p)
+    p = _profile_command(
+        subs, "shoot", "fundamental-solution boundary data at xi=1",
+        lambda prof, args: shoot(prof, args.alpha, args.kappa2),
+    )
     p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--kappa2", type=_finite_float, default=0.0)
-    p.set_defaults(handler=_cmd_shoot)
 
-    p = subs.add_parser("resonances", help="resonant couplings on a scan window")
-    _add_profile_flags(p)
-    _add_format_flag(p)
+    p = _profile_command(
+        subs, "resonances", "resonant couplings on a scan window",
+        lambda prof, args: resonance.find_resonances(
+            prof, args.alpha_min, args.alpha_max, args.scan_step
+        ),
+    )
     p.add_argument("--alpha-min", type=_finite_float, default=resonance.DEFAULT_ALPHA_MIN)
     p.add_argument("--alpha-max", type=_finite_float, default=resonance.DEFAULT_ALPHA_MAX)
     p.add_argument("--scan-step", type=_finite_float, default=resonance.DEFAULT_SCAN_STEP)
-    p.set_defaults(handler=_cmd_resonances)
 
-    p = subs.add_parser("theta", help="coupling value at a resonant alpha")
-    _add_profile_flags(p)
-    _add_format_flag(p)
+    p = _profile_command(
+        subs, "theta", "coupling value at a resonant alpha",
+        lambda prof, args: {
+            "alpha": args.alpha, "theta": resonance.coupling(prof, args.alpha, args.tol)
+        },
+    )
     p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument(
         "--tol",
@@ -105,11 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=1e-3,
         help="accept alpha within this distance of a refined root",
     )
-    p.set_defaults(handler=_cmd_theta)
 
-    p = subs.add_parser("scatter-limit", help="zero-range-limit scattering coefficients")
-    _add_profile_flags(p)
-    _add_format_flag(p)
+    p = _profile_command(
+        subs, "scatter-limit", "zero-range-limit scattering coefficients",
+        lambda prof, args: scattering.limit_coeffs(resonance.classify(prof, args.alpha, args.tol)),
+    )
     p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument(
         "--tol",
@@ -117,33 +122,27 @@ def build_parser() -> argparse.ArgumentParser:
         default=1e-8,
         help="resonance classification tolerance in alpha",
     )
-    p.set_defaults(handler=_cmd_scatter_limit)
 
-    p = subs.add_parser("scatter-eps", help="exact finite-scale scattering coefficients")
-    _add_profile_flags(p)
-    _add_format_flag(p)
+    p = _profile_command(
+        subs, "scatter-eps", "exact finite-scale scattering coefficients",
+        lambda prof, args: scattering.finite_coeffs(prof, args.alpha, args.k, args.eps),
+    )
     p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--k", type=_finite_float, default=1.0)
     p.add_argument("--eps", type=_finite_float, required=True)
-    p.set_defaults(handler=_cmd_scatter_eps)
 
-    p = subs.add_parser(
-        "scatter-asymptotic",
-        help="leading small-kappa expansion at kappa = eps*k",
+    p = _profile_command(
+        subs, "scatter-asymptotic", "leading small-kappa expansion at kappa = eps*k",
+        lambda prof, args: scattering.asymptotic_coeffs(prof, args.alpha, args.eps * args.k),
     )
-    _add_profile_flags(p)
-    _add_format_flag(p)
     p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--k", type=_finite_float, default=1.0)
     p.add_argument("--eps", type=_finite_float, required=True)
-    p.set_defaults(handler=_cmd_scatter_asymptotic)
 
-    p = subs.add_parser(
-        "converge",
-        help="resolvent-error study of the scaled family against its limit",
+    p = _profile_command(
+        subs, "converge", "resolvent-error study of the scaled family against its limit",
+        lambda prof, args: convergence.study(prof, args.alpha, args.eps_list),
     )
-    _add_profile_flags(p)
-    _add_format_flag(p)
     p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument(
         "--eps-list",
@@ -152,66 +151,24 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="E1,E2,...",
         help="decreasing eps values (default 0.2,0.1,0.05,0.025)",
     )
-    p.set_defaults(handler=_cmd_converge)
 
     p = subs.add_parser(
         "table6",
         help="resonant intensities, coupling values and |T|^2 for the "
         "built-in quadratic profile on [0, 200]",
     )
-    _add_format_flag(p)
+    p.add_argument("--format", choices=FORMATS, default="table")
     p.set_defaults(handler=_cmd_table6)
 
     return parser
-
-
-def _cmd_moments(args):
-    return profiles.moments(_resolve_profile(args))
-
-
-def _cmd_shoot(args):
-    return shoot(_resolve_profile(args), args.alpha, args.kappa2)
-
-
-def _cmd_resonances(args):
-    return resonance.find_resonances(
-        _resolve_profile(args), args.alpha_min, args.alpha_max, args.scan_step
-    )
-
-
-def _cmd_theta(args):
-    prof = _resolve_profile(args)
-    return {"alpha": args.alpha, "theta": resonance.coupling(prof, args.alpha, args.tol)}
-
-
-def _cmd_scatter_limit(args):
-    prof = _resolve_profile(args)
-    c = resonance.classify(prof, args.alpha, args.tol)
-    return scattering.limit_coeffs(c)
-
-
-def _cmd_scatter_eps(args):
-    return scattering.finite_coeffs(_resolve_profile(args), args.alpha, args.k, args.eps)
-
-
-def _cmd_scatter_asymptotic(args):
-    return scattering.asymptotic_coeffs(
-        _resolve_profile(args), args.alpha, args.eps * args.k
-    )
-
-
-def _cmd_converge(args):
-    return convergence.study(_resolve_profile(args), args.alpha, args.eps_list)
 
 
 def _cmd_table6(args):
     prof = profiles.builtin_profile("seba-quadratic")
     rows = []
     for rv in resonance.find_resonances(prof, 0.0, 200.0, 0.5):
-        coeffs = scattering.limit_coeffs(resonance.Resonant(rv.theta))
-        rows.append(
-            {"alpha": rv.alpha, "theta": rv.theta, "T2": coeffs.transmission_probability}
-        )
+        t2 = scattering.limit_coeffs(resonance.Resonant(rv.theta)).transmission_probability
+        rows.append({"alpha": rv.alpha, "theta": rv.theta, "T2": t2})
     return rows
 
 
@@ -220,9 +177,7 @@ def _cmd_table6(args):
 
 def _to_records(result):
     """Normalize any module output to an ordered record dict or list of them."""
-    if isinstance(result, profiles.Moments):
-        return {"m0": result.m0, "m1": result.m1}
-    if isinstance(result, FundamentalData):
+    if isinstance(result, (profiles.Moments, FundamentalData)):
         return asdict(result)
     if isinstance(result, resonance.ResonantValue):
         return {
