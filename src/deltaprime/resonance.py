@@ -50,7 +50,7 @@ RESIDUAL_SCALE = 1e-8
 DEFAULT_SCAN_STEP = 0.5
 DEFAULT_ALPHA_MIN = -200.0
 DEFAULT_ALPHA_MAX = 200.0
-#: a scan holds up to ~105 bytes per cell (tracemalloc at 2**20 cells): about 440 MB here
+#: a scan holds up to ~95 bytes per cell (tracemalloc at 2**20 cells): about 400 MB here
 MAX_SCAN_CELLS = 2**22
 
 #: degree of the Chebyshev interpolants that predict the scan (``_scan_values``)
@@ -139,13 +139,13 @@ def _predicted_scan(profile, grid):
     and on each triple that is, or within the bounds may be, a dip
     (``_unresolved``); the other values decide as tight ones would.  A shoot
     is accurate to about RTOL times the product of its cells' scales
-    (``shooting``), which the coefficients need not show, so every tight
-    value is checked against its piece's interpolant, and a piece that
-    misses its bound is shot tight on its whole grid.
+    (``shooting``), which the coefficients need not show, so a predicted
+    value shot tight is checked against its prediction as it arrives, and a
+    piece that misses its bound is shot tight on its whole grid.
     """
     n, count = grid.size, _CHEB_DEGREE + 1
     g, err = np.full(n, np.nan), np.full(n, np.nan)  # err: 0 when tight, nan while unknown
-    pred, bound, piece = np.full(n, np.nan), np.full(n, np.nan), np.full(n, -1)
+    piece = np.full(n, -1)  # the first grid index of each predicted value's piece
     pieces, need = [], np.zeros(n, dtype=bool)
     rate_pos, rate_neg = _weyl_rates(profile)
 
@@ -168,7 +168,11 @@ def _predicted_scan(profile, grid):
         nodes = [np.concatenate(([a], x, [b])) for (a, b), x in zip(ends, inner)]
         idx = np.flatnonzero(need)
         shots = shoot_batch(profile, np.concatenate(nodes + [grid[idx]]))[1]
-        g[idx], err[idx], need[idx] = shots[len(nodes) * count :], 0.0, False
+        tight = shots[len(nodes) * count :]
+        # a tight value outside its prediction's bound voids the piece's predictions
+        missed = piece[idx[np.abs(tight - g[idx]) > err[idx]]]
+        g[idx], err[idx], need[idx] = tight, 0.0, False
+        need |= np.isin(piece, missed) & (err > 0.0)
         shot, pieces = pieces, []
         for k, ((i, j), (a, b)) in enumerate(zip(shot, ends)):
             v = shots[k * count : (k + 1) * count]
@@ -181,18 +185,13 @@ def _predicted_scan(profile, grid):
                 fits = np.all(np.isfinite(p))
             if fits:
                 e = _CHEB_BOUND * tail + _CHEB_FLOOR * scale
-                g[i:j], err[i:j], pred[i:j], bound[i:j], piece[i:j] = p, e, p, e, i
+                g[i:j], err[i:j], piece[i:j] = p, e, i
                 g[[i, j - 1]], err[[i, j - 1]] = v[[0, -1]], 0.0
             else:  # each half holds at most the sign changes among the samples
                 signs = np.sign(v)
                 seen = np.count_nonzero(signs[:-1] * signs[1:] < 0.0)
                 plan(i, (i + j) // 2, seen)
                 plan((i + j) // 2, j, seen)
-        # a tight value outside its piece's bound voids the piece's predictions
-        for i in np.unique(piece[(err == 0.0) & (np.abs(g - pred) > bound)]):
-            void = piece == i
-            need |= void & (err > 0.0)
-            pred[void] = bound[void] = np.nan
         need |= _unresolved(grid, g, err)
     return g
 
