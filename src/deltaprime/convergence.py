@@ -255,8 +255,6 @@ def _limit_rows(c: Classification, h: float, n: int, im: int) -> DiscreteOperato
             f"discretize_limit: expected a Classification, got {type(c).__name__}"
         )
     th = c.theta
-    if not (np.isfinite(th) and th != 0.0):
-        raise InvalidInputError(f"discretize_limit: theta must be finite and nonzero, got {th}")
     if th == 1.0:
         return DiscreteOperator(ab, KIND_CONNECTED, {"theta": th})
     d = 1.0 + th * th

@@ -81,6 +81,10 @@ class ResonantValue:
 class Resonant:
     theta: float
 
+    def __post_init__(self):
+        if _finite(self.theta, "Resonant: theta") == 0.0:
+            raise InvalidInputError(f"Resonant: theta must be nonzero, got {self.theta!r}")
+
 
 @dataclass(frozen=True)
 class NonResonant:

@@ -29,6 +29,7 @@ from deltaprime import (
     finite_coeffs,
     from_samples,
     from_segments,
+    limit_coeffs,
     make_grid,
     neumann_mismatch,
     q_factor,
@@ -117,6 +118,7 @@ ENTRIES = [
     ("from_samples", "xi", FINITE_ARRAY + [5.0], lambda v: from_samples(v, [0.0, 0.0])),
     ("from_samples", "psi", FINITE_ARRAY + [5.0], lambda v: from_samples([-1.0, 1.0], v)),
     ("PotentialProfile.eval", "x", FINITE + FINITE_ARRAY, lambda v: P.eval(v)),
+    ("Resonant", "theta", FINITE + [0.0, -0.0], lambda v: Resonant(v)),
 ]
 
 CASES = [
@@ -146,7 +148,7 @@ def test_every_public_function_with_a_number_argument_is_in_the_table():
         name for name in deltaprime.__all__
         if callable(getattr(deltaprime, name)) and not isinstance(getattr(deltaprime, name), type)
     }
-    assert public - number_free == tabled - {"Grid", "PotentialProfile", "shoot_batch"}
+    assert public - number_free == tabled - {"Grid", "PotentialProfile", "Resonant", "shoot_batch"}
 
 
 MOTIVATION_PROBES = {
@@ -169,6 +171,8 @@ MOTIVATION_PROBES = {
     "from_segments-int": lambda: from_segments(5),
     "from_segments-pair": lambda: from_segments([(-1, 1)]),
     "study-int-eps_list": lambda: study(P, 18.17, eps_list=5),
+    "discretize_limit-str-theta": lambda: discretize_limit(Resonant("x"), GRID),
+    "limit_coeffs-str-theta": lambda: limit_coeffs(Resonant("2")),
 }
 
 
