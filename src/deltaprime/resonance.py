@@ -79,6 +79,8 @@ class ResonantValue:
 
 @dataclass(frozen=True)
 class Resonant:
+    """A resonant limit with coupling value theta, which must be real, finite and nonzero."""
+
     theta: float
 
     def __post_init__(self):
