@@ -6,6 +6,8 @@ flag, choices, metavar, nargs and help, in registration order, plus each
 mutually exclusive group.  A refactor of `cli.build_parser` must reproduce
 it exactly.  The record holds no rendered `--help` text, so it does not
 depend on argparse's line wrapping, which differs across Python versions.
+A change that means to alter the interface rewrites the record from
+``interface(build_parser())``.
 """
 
 import argparse
