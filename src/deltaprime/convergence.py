@@ -35,7 +35,10 @@ values or alpha.  It is kept across calls, keyed on (grid, a, b) with
 W = [a, b), for the last BATTERY_CACHE_SIZE keys: a warm study solves no
 exterior and builds no N-row array but the grid's nodes.  An entry holds
 (b - a) x 3 floats plus O(1) per side, every array read-only; an exterior
-that fails its gate raises before anything is stored.
+that fails its gate raises before anything is stored.  A cold study's memory
+peaks in its exterior solves: the battery's N x 3 floats, and per side one
+complex block [F_side | e] that LAPACK solves in place and one complex band,
+87 bytes per grid node in all (MAX_GRID_NODES).
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +68,9 @@ STUDY_RESOLUTION = 128.0
 #: (grid, window) keys whose battery solves a study keeps
 BATTERY_CACHE_SIZE = 4
 
-#: largest N a Grid accepts.  A cold study peaks at about 150 bytes per node plus
-#: 20 MB (tracemalloc, N = 204,800 to 819,200), so about 650 MB at this bound.
+#: largest N a Grid accepts.  A cold study peaks at 87 bytes per node (tracemalloc,
+#: N = 51,200 to 819,200), so about 365 MB at this bound; a full-grid resolvent_apply
+#: of a 3-column block at 99 bytes per node when tridiagonal, 356 when pentadiagonal.
 MAX_GRID_NODES = 2**22
 
 KIND_SEPS = "scaled-potential"
@@ -180,8 +185,13 @@ class DiscreteOperator:
 
     @property
     def inf_norm(self) -> float:
-        absolute = DiscreteOperator(np.abs(self.ab), self.kind)
-        return float(np.max(absolute.matvec(np.ones(self.n))))
+        """max_i sum_j |A[i, j]|, summed over the band one diagonal at a time."""
+        w, ab = self.w, self.ab
+        rows = np.abs(ab[w])
+        for d in range(1, w + 1):
+            rows[d:] += np.abs(ab[w + d, :-d])  # A[i + d, i]
+            rows[:-d] += np.abs(ab[w - d, d:])  # A[i, i + d]
+        return float(rows.max())
 
 
 def _add_off_diagonals(ab: np.ndarray, y: np.ndarray, xt: np.ndarray) -> None:
@@ -301,24 +311,52 @@ def _sq_norms(a: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _residual_norms(
-    op: DiscreteOperator, k2: complex, x: np.ndarray, f: np.ndarray
-) -> np.ndarray:
-    """Column 2-norms of (A - k2*I) x - f for (n, m) blocks x and f.
+class _WithUnit(NamedTuple):
+    """The right-hand side [F | e] of an exterior solve: F's columns, then the
+    unit vector e at row ``row``, read from F where it lies."""
+
+    F: np.ndarray
+    row: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.F), self.F.shape[1] + 1
+
+
+def _columns(f):
+    """The columns of a right-hand side, an (n, m) array or a _WithUnit block."""
+    if not isinstance(f, _WithUnit):
+        yield from f.T
+        return
+    yield from f.F.T
+    e = np.zeros(len(f.F))
+    e[f.row] = 1.0
+    yield e
+
+
+def _residual_norms(op: DiscreteOperator, k2: complex, x: np.ndarray, f) -> np.ndarray:
+    """Column 2-norms of (A - k2*I) x - f for an (n, m) block x and a right-hand
+    side f of that shape (``_columns``), one column of temporaries at a time.
 
     The real off-diagonals act on the real and imaginary parts of x
-    separately, so no complex product of the block is formed.
+    separately, so no complex product of a column is formed.
     """
-    xr, xi = x.real.T, x.imag.T
     d = op.diag - k2
-    rr = d.real * xr - d.imag * xi - f.real.T
-    ri = d.real * xi + d.imag * xr
-    if np.iscomplexobj(f):
-        ri -= f.imag.T
     off = op.ab.real
-    _add_off_diagonals(off, rr, xr)
-    _add_off_diagonals(off, ri, xi)
-    return np.sqrt(np.einsum("ij,ij->i", rr, rr) + np.einsum("ij,ij->i", ri, ri))
+    sq = np.empty(x.shape[1])
+    for j, fj in enumerate(_columns(f)):
+        xr, xi = x[:, j].real, x[:, j].imag
+        rr = d.real * xr
+        rr -= d.imag * xi
+        rr -= fj.real
+        ri = d.real * xi
+        ri += d.imag * xr
+        if np.iscomplexobj(fj):
+            ri -= fj.imag
+        _add_off_diagonals(off, rr, xr)
+        _add_off_diagonals(off, ri, xi)
+        sq[j] = np.einsum("i,i->", rr, rr) + np.einsum("i,i->", ri, ri)
+    return np.sqrt(sq)
 
 
 def _gate_residuals(what, rnorm, fnorm, xnorm, n, a_norm, k2) -> None:
@@ -334,19 +372,36 @@ def _gate_residuals(what, rnorm, fnorm, xnorm, n, a_norm, k2) -> None:
         )
 
 
-def _solve_gated(op: DiscreteOperator, k2: complex, cols: np.ndarray):
-    """resolvent_apply's solve and per-column gate for a finite (n, m) block;
-    returns the solution with the residual norms it gated and its squared column norms."""
+def _solve_gated(op: DiscreteOperator, k2: complex, f):
+    """resolvent_apply's solve and per-column gate for a finite right-hand side f,
+    an (n, m) array or a _WithUnit block; returns the solution with the residual
+    norms it gated and its squared column norms.
+
+    f is copied once into a complex Fortran-ordered block, which LAPACK solves
+    in place and which becomes the solution; f itself is read, never written.
+    """
+    b = np.empty(f.shape, complex, order="F")
+    for bj, fj in zip(b.T, _columns(f)):
+        bj[:] = fj
+    fnorm = np.sqrt(_sq_norms(b))
     try:
-        x = solve_banded((op.w, op.w), op.shifted_banded(k2), cols.astype(complex))
+        x = solve_banded((op.w, op.w), op.shifted_banded(k2), b)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"resolvent_apply: elimination breakdown: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise NumericalFailureError("resolvent_apply: non-finite solution")
-    rnorm, x_sq = _residual_norms(op, k2, x, cols), _sq_norms(x)
-    fnorm = np.sqrt(_sq_norms(cols))
+    rnorm, x_sq = _residual_norms(op, k2, x, f), _sq_norms(x)
     _gate_residuals("resolvent_apply", rnorm, fnorm, np.sqrt(x_sq), op.n, op.inf_norm, k2)
     return x, rnorm, x_sq
+
+
+def _sub_solve(what: str, op: DiscreteOperator, k2: complex, f):
+    """_solve_gated for one of study's sub-solves, a failure reported as ``what``."""
+    try:
+        return _solve_gated(op, k2, f)
+    except NumericalFailureError as exc:
+        detail = str(exc).removeprefix("resolvent_apply")
+        raise NumericalFailureError(what + detail) from exc.__cause__
 
 
 def resolvent_apply(op: DiscreteOperator, k2: complex, f: np.ndarray) -> np.ndarray:
@@ -359,6 +414,8 @@ def resolvent_apply(op: DiscreteOperator, k2: complex, f: np.ndarray) -> np.ndar
     double-precision floor eps_machine*||A||*||x|| that any backward-stable
     solver carries), with that column's norms.  study's sub-solves share
     these checks through the same routine, which also returns the norms.
+    f is copied once, into the complex block that LAPACK solves in place and
+    returns as x; f itself is never modified.
     Raises InvalidInputError unless k2 is one finite number off the real axis
     and f a finite real or complex array of those shapes (the gate in ``errors``).
     """
@@ -427,11 +484,11 @@ def _solve_exterior(h: float, k2: complex, F: np.ndarray, inner: int, end: int) 
     """Solve the free rows on F's nodes for F and the unit vector at row inner,
     as one block."""
     n, m = F.shape
-    op = DiscreteOperator(_free_rows(n, h), "free")
-    rhs = np.zeros((n, m + 1))
-    rhs[:, :m] = F
-    rhs[inner, m] = 1.0
-    Z, res, z_sq = _solve_gated(op, k2, rhs)
+    inv_h2 = 1.0 / (h * h)
+    rows = np.array([[-inv_h2], [2.0 * inv_h2], [-inv_h2]])
+    op = DiscreteOperator(np.broadcast_to(rows, (3, n)), "free")  # _free_rows(n, h), O(1) memory
+    what = f"study ({'left' if end == 0 else 'right'} exterior)"
+    Z, res, z_sq = _sub_solve(what, op, k2, _WithUnit(F, inner))
     gz = np.einsum("i,ij->j", Z[:, m].conj(), Z)
     y_end = Z[inner, :m].copy()  # a view would keep the block's solution Z alive
     return _Exterior(end, y_end, Z[inner, m], z_sq[:m], gz[:m], gz[m].real, res[:m], res[m])
@@ -481,14 +538,13 @@ def _solve_window(
     for s in battery.sides:
         ab[op.w, s.end] -= inv_h2 * inv_h2 * s.g_end
         rhs[s.end] += inv_h2 * s.y_end
-    X, bound, x_sq = _solve_gated(DiscreteOperator(ab, op.kind, op.params), k2, rhs)
+    what = f"study ({op.kind}, {op.params})"
+    X, bound, x_sq = _sub_solve(what, DiscreteOperator(ab, op.kind, op.params), k2, rhs)
     for s in battery.sides:
         c = -inv_h2 * X[s.end]  # exterior solution: Y - c*g
         bound += s.y_res + inv_h2 * np.abs(X[s.end]) * s.g_res
         x_sq += np.maximum(s.y_sq - 2.0 * np.real(np.conj(c) * s.gy) + np.abs(c) ** 2 * s.g_sq, 0.0)
-    _gate_residuals(
-        f"study ({op.kind}, {op.params})", bound, battery.fnorm, np.sqrt(x_sq), n, op.inf_norm, k2
-    )
+    _gate_residuals(what, bound, battery.fnorm, np.sqrt(x_sq), n, op.inf_norm, k2)
     return X
 
 

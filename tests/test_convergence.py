@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -496,8 +497,15 @@ def test_study_gates_every_sub_solve(seba, monkeypatch, call):
         return x
 
     monkeypatch.setattr(deltaprime.convergence, "solve_banded", corrupting)
-    with pytest.raises(NumericalFailureError, match="column 1"):
+    with pytest.raises(NumericalFailureError, match="column 1") as failure:
         study(seba, 18.1747, eps_list=(0.2, 0.1, 0.05), grid=g)
+    prefix = {
+        0: "study (left exterior): residual ",
+        1: "study (right exterior): residual ",
+        2: "study (limit-connected, {'theta': ",
+        4: "study (scaled-potential, {'alpha': 18.1747, 'eps': 0.1}): residual ",
+    }[call]
+    assert str(failure.value).startswith(prefix)
 
 
 def test_study_gate_bounds_the_full_residual(seba, monkeypatch):
@@ -771,3 +779,110 @@ def test_study_kept_arrays_are_read_only(seba):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
+
+
+def _copying_solve_gated(op, k2, f):
+    """_solve_gated as it was before it solved in place: the whole right-hand side
+    as a float or complex block, a C-ordered complex copy of it that scipy copies
+    again into LAPACK's layout, and the residual formed on that whole block."""
+    conv = deltaprime.convergence
+    cols = f
+    if isinstance(f, conv._WithUnit):
+        cols = np.zeros(f.shape)
+        cols[:, :-1] = f.F
+        cols[f.row, -1] = 1.0
+    x = conv.solve_banded((op.w, op.w), op.shifted_banded(k2), cols.astype(complex))
+    assert np.all(np.isfinite(x))
+    rnorm, x_sq = conv._residual_norms(op, k2, x, cols), conv._sq_norms(x)
+    fnorm = np.sqrt(conv._sq_norms(cols))
+    conv._gate_residuals("resolvent_apply", rnorm, fnorm, np.sqrt(x_sq), op.n, op.inf_norm, k2)
+    return x, rnorm, x_sq
+
+
+def _in_place_cases(seba, step):
+    """Three cold-battery studies, their exterior records, and a full-grid
+    resolvent_apply on a real and on a complex (Fortran-ordered) 3-column block."""
+    conv = deltaprime.convergence
+    conv._default_battery.cache_clear()
+    g = make_grid(0.025, L=8.0, resolution=32)
+    reports = [study(seba, 18.1746, grid=g), study(seba, 10.0, grid=g), study(step, 100.3, grid=g)]
+    battery = conv._default_battery(g, *conv._window(seba, DEFAULT_EPS_LIST[0], g))
+    op = discretize_seps(seba, 18.1746, 0.025, g)
+    F = np.column_stack(default_test_functions(g))
+    blocks = [F, np.asfortranarray(F + 0.5j * F[:, ::-1])]
+    kept = [f.copy() for f in blocks]
+    solutions = [resolvent_apply(op, 1j, f) for f in blocks]
+    for f, copy in zip(blocks, kept):  # the caller's f is read, never written
+        assert np.array_equal(f, copy)
+    return reports, battery.sides, solutions
+
+
+def test_in_place_solves_match_the_copying_path_bit_for_bit(seba, step, monkeypatch):
+    """The in-place block holds the values the copying path handed LAPACK, so every
+    solution, exterior record and study entry is the same to the last bit.  The
+    reference is computed here rather than stored: LAPACK builds may differ."""
+    got = _in_place_cases(seba, step)
+    monkeypatch.setattr(deltaprime.convergence, "_solve_gated", _copying_solve_gated)
+    want = _in_place_cases(seba, step)
+    for rep, ref in zip(got[0], want[0]):
+        assert rep == ref
+        assert repr(rep.fitted_rate) == repr(ref.fitted_rate)
+    assert isinstance(got[0][0].limit_kind, Resonant) and isinstance(got[0][1].limit_kind, NonResonant)
+    assert len(got[1]) == len(want[1]) == 2
+    for side, ref in zip(got[1], want[1]):
+        for name in ("end", "y_end", "g_end", "y_sq", "gy", "g_sq", "y_res", "g_res"):
+            assert np.array_equal(getattr(side, name), getattr(ref, name)), name
+    for x, ref in zip(got[2], want[2]):
+        assert np.array_equal(x, ref)
+
+
+def test_study_sub_solve_failures_name_the_sub_solve(seba, monkeypatch):
+    """A breakdown or a non-finite solution inside study names its sub-solve;
+    resolvent_apply keeps its own label."""
+    conv = deltaprime.convergence
+    g = small_grid()
+    singular = DiscreteOperator(np.array([[0.0] * g.N, [1j] * g.N, [0.0] * g.N]), "zero")
+    with pytest.raises(NumericalFailureError, match=r"^resolvent_apply: elimination breakdown"):
+        resolvent_apply(singular, 1j, np.ones(g.N))
+    with pytest.raises(NumericalFailureError, match=r"^study \(left exterior\): elimination breakdown") as failure:
+        conv._sub_solve("study (left exterior)", singular, 1j, np.ones((g.N, 1)))
+    assert isinstance(failure.value.__cause__, np.linalg.LinAlgError)
+    real = conv.solve_banded
+
+    def poisoning(lu, ab, b):
+        x = real(lu, ab, b)
+        x[3, 0] = np.nan
+        return x
+
+    monkeypatch.setattr(conv, "solve_banded", poisoning)
+    with pytest.raises(NumericalFailureError, match=r"^resolvent_apply: non-finite solution$"):
+        resolvent_apply(discretize_limit(NonResonant(), g), 1j, np.ones(g.N))
+    with pytest.raises(NumericalFailureError, match=r"^study \(left exterior\): non-finite solution$"):
+        study(seba, 10.0, grid=_memo_grid())
+
+
+def _traced_peak(run):
+    """Peak bytes that tracemalloc sees allocated while run() runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cold_study_and_resolvent_apply_peak_memory(seba):
+    """A cold default study's exterior solves and a full-grid resolvent_apply
+    hold about one complex copy of the right-hand side at a time: at N = 51,200
+    they peak at 87 and 99 bytes per node, against 141 and 144 when every
+    solve copied its right-hand side twice."""
+    g = make_grid(min(DEFAULT_EPS_LIST), resolution=32)
+    assert g.N == 51_200
+    study(seba, 18.1746, grid=make_grid(min(DEFAULT_EPS_LIST), L=4.0, resolution=16))  # imports, classify
+    deltaprime.convergence._default_battery.cache_clear()
+    assert _traced_peak(lambda: study(seba, 18.1746, grid=g)) <= 100 * g.N
+    op = discretize_seps(seba, 18.1746, min(DEFAULT_EPS_LIST), g)
+    F = np.column_stack(default_test_functions(g))
+    solutions = []
+    assert _traced_peak(lambda: solutions.append(resolvent_apply(op, 1j, F))) <= 110 * g.N
+    assert solutions[0].nbytes == 48 * g.N
