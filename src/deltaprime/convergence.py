@@ -313,7 +313,8 @@ def _sq_norms(a: np.ndarray) -> np.ndarray:
 
 class _WithUnit(NamedTuple):
     """The right-hand side [F | e] of an exterior solve: F's columns, then the
-    unit vector e at row ``row``, read from F where it lies."""
+    unit vector e at row ``row``, read from F where it lies.  Like an (n, m)
+    array it has a shape, and iterating its ``T`` yields its columns."""
 
     F: np.ndarray
     row: int
@@ -322,21 +323,17 @@ class _WithUnit(NamedTuple):
     def shape(self) -> tuple[int, int]:
         return len(self.F), self.F.shape[1] + 1
 
-
-def _columns(f):
-    """The columns of a right-hand side, an (n, m) array or a _WithUnit block."""
-    if not isinstance(f, _WithUnit):
-        yield from f.T
-        return
-    yield from f.F.T
-    e = np.zeros(len(f.F))
-    e[f.row] = 1.0
-    yield e
+    @property
+    def T(self) -> list[np.ndarray]:
+        e = np.zeros(len(self.F))
+        e[self.row] = 1.0
+        return [*self.F.T, e]
 
 
 def _residual_norms(op: DiscreteOperator, k2: complex, x: np.ndarray, f) -> np.ndarray:
     """Column 2-norms of (A - k2*I) x - f for an (n, m) block x and a right-hand
-    side f of that shape (``_columns``), one column of temporaries at a time.
+    side f of that shape (an array or a _WithUnit), one column of temporaries
+    at a time.
 
     The real off-diagonals act on the real and imaginary parts of x
     separately, so no complex product of a column is formed.
@@ -344,7 +341,7 @@ def _residual_norms(op: DiscreteOperator, k2: complex, x: np.ndarray, f) -> np.n
     d = op.diag - k2
     off = op.ab.real
     sq = np.empty(x.shape[1])
-    for j, fj in enumerate(_columns(f)):
+    for j, fj in enumerate(f.T):
         xr, xi = x[:, j].real, x[:, j].imag
         rr = d.real * xr
         rr -= d.imag * xi
@@ -381,7 +378,7 @@ def _solve_gated(op: DiscreteOperator, k2: complex, f):
     in place and which becomes the solution; f itself is read, never written.
     """
     b = np.empty(f.shape, complex, order="F")
-    for bj, fj in zip(b.T, _columns(f)):
+    for bj, fj in zip(b.T, f.T):
         bj[:] = fj
     fnorm = np.sqrt(_sq_norms(b))
     try:
