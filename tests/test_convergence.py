@@ -875,9 +875,9 @@ def _traced_peak(run):
 
 def test_cold_study_and_resolvent_apply_peak_memory(seba):
     """A cold default study's exterior solves and a full-grid resolvent_apply
-    hold about one complex copy of the right-hand side at a time: at N = 51,200
-    they peak at 87 and 99 bytes per node, against 141 and 144 when every
-    solve copied its right-hand side twice."""
+    hold one complex copy of the right-hand side, which LAPACK solves in place:
+    at N = 51,200 they peak at 87 and 99 bytes per node.  A second copy of the
+    right-hand side per solve reads 141 and 144."""
     g = make_grid(min(DEFAULT_EPS_LIST), resolution=32)
     assert g.N == 51_200
     warm_up = make_grid(min(DEFAULT_EPS_LIST), L=4.0, resolution=16)
