@@ -35,10 +35,14 @@ values or alpha.  It is kept across calls, keyed on (grid, a, b) with
 W = [a, b), for the last BATTERY_CACHE_SIZE keys: a warm study solves no
 exterior and builds no N-row array but the grid's nodes.  An entry holds
 (b - a) x 3 floats plus O(1) per side, every array read-only; an exterior
-that fails its gate raises before anything is stored.  A cold study's memory
-peaks in its exterior solves: the battery's N x 3 floats, and per side one
-complex block [F_side | e] that LAPACK solves in place and one complex band,
-87 bytes per grid node in all (MAX_GRID_NODES).
+that fails its gate raises before anything is stored.  A cold study forms
+the battery's N x 3 floats once, for W's rows, the column norms and the
+columns' scales, and drops them before any exterior is solved: each side's
+block [F_side | e] is filled from the battery evaluated on that side's own
+nodes, to the same bits, and its residual reads the columns the same way.
+So a cold study's memory peaks in an exterior solve, at about 57 bytes per
+grid node: the complex block that LAPACK solves in place (32 per node, the
+side holding half the grid) and the complex band (24) (MAX_GRID_NODES).
 """
 
 from __future__ import annotations
@@ -68,8 +72,8 @@ STUDY_RESOLUTION = 128.0
 #: (grid, window) keys whose battery solves a study keeps
 BATTERY_CACHE_SIZE = 4
 
-#: largest N a Grid accepts.  A cold study peaks at 87 bytes per node (tracemalloc,
-#: N = 51,200 to 819,200), so about 365 MB at this bound; a full-grid resolvent_apply
+#: largest N a Grid accepts.  A cold study peaks at 57 bytes per node (tracemalloc,
+#: N = 51,200 to 819,200), so about 240 MB at this bound; a full-grid resolvent_apply
 #: of a 3-column block at 99 bytes per node when tridiagonal, 356 when pentadiagonal.
 MAX_GRID_NODES = 2**22
 
@@ -112,12 +116,17 @@ class Grid:
         return 2.0 * self.L / (self.N + 1)
 
     def nodes(self) -> np.ndarray:
-        return -self.L + self.h * np.arange(1, self.N + 1)
+        return _nodes(self, 0, self.N)
 
     @property
     def interface(self) -> tuple[int, int]:
         """Indices of the nodes at -h/2 and +h/2."""
         return self.N // 2 - 1, self.N // 2
+
+
+def _nodes(grid: Grid, a: int, b: int) -> np.ndarray:
+    """grid.nodes()[a:b], computed on those nodes alone to the same bits."""
+    return -grid.L + grid.h * np.arange(a + 1, b + 1)
 
 
 def make_grid(eps_min: float, L: float = DEFAULT_L, resolution: float = MIN_RESOLUTION) -> Grid:
@@ -204,11 +213,13 @@ def _add_off_diagonals(ab: np.ndarray, y: np.ndarray, xt: np.ndarray) -> None:
 
 def solve_banded(l_and_u, ab, b):
     """scipy.linalg.solve_banded, imported on the first solve so that
-    importing the package loads no scipy.  ab and b may be overwritten:
-    every caller hands it fresh copies."""
+    importing the package loads no scipy.  ab and b may be overwritten, and
+    scipy does not check them for infs or NaNs: every caller hands it fresh
+    copies of finite arrays (resolvent_apply gates op and f, and study builds
+    its systems from gated inputs)."""
     from scipy.linalg import solve_banded as solve
 
-    return solve(l_and_u, ab, b, overwrite_ab=True, overwrite_b=True)
+    return solve(l_and_u, ab, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
 
 
 def _free_rows(n: int, h: float) -> np.ndarray:
@@ -311,34 +322,17 @@ def _sq_norms(a: np.ndarray) -> np.ndarray:
     return sq
 
 
-class _WithUnit(NamedTuple):
-    """The right-hand side [F | e] of an exterior solve: F's columns, then the
-    unit vector e at row ``row``, read from F where it lies.  Like an (n, m)
-    array it has a shape, and iterating its ``T`` yields its columns."""
-
-    F: np.ndarray
-    row: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.F), self.F.shape[1] + 1
-
-    @property
-    def T(self) -> list[np.ndarray]:
-        e = np.zeros(len(self.F))
-        e[self.row] = 1.0
-        return [*self.F.T, e]
-
-
 def _residual_norms(op: DiscreteOperator, k2: complex, x: np.ndarray, f) -> np.ndarray:
     """Column 2-norms of (A - k2*I) x - f for an (n, m) block x and a right-hand
-    side f of that shape (an array or a _WithUnit), one column of temporaries
-    at a time.
+    side f of that shape (an array or a _SideBattery), one column of
+    temporaries at a time.
 
     The real off-diagonals act on the real and imaginary parts of x
-    separately, so no complex product of a column is formed.
+    separately, so no complex product of a column is formed, and a constant
+    (stride-0) diagonal is read as one value.
     """
-    d = op.diag - k2
+    d = op.diag
+    d = (d[:1] if d.strides == (0,) else d) - k2
     off = op.ab.real
     sq = np.empty(x.shape[1])
     for j, fj in enumerate(f.T):
@@ -358,9 +352,10 @@ def _residual_norms(op: DiscreteOperator, k2: complex, x: np.ndarray, f) -> np.n
 
 def _gate_residuals(what, rnorm, fnorm, xnorm, n, a_norm, k2) -> None:
     """Raise unless every column's residual is at most max(1e-12*||f||, the
-    double-precision floor eps_machine*||A||*||x|| of a backward-stable solve)."""
+    double-precision floor eps_machine*||A||*||x|| of a backward-stable solve);
+    a residual that is not finite fails too."""
     floor = 64.0 * math.sqrt(n) * np.finfo(float).eps * (a_norm + abs(k2))
-    bad = np.flatnonzero(rnorm > np.maximum(1e-12 * fnorm, floor * xnorm))
+    bad = np.flatnonzero(~(rnorm <= np.maximum(1e-12 * fnorm, floor * xnorm)))
     if bad.size:
         j = bad[0]
         raise NumericalFailureError(
@@ -369,17 +364,24 @@ def _gate_residuals(what, rnorm, fnorm, xnorm, n, a_norm, k2) -> None:
         )
 
 
+def _complex_block(f) -> np.ndarray:
+    """f copied into a complex Fortran-ordered block, one column at a time; the
+    last column read is released on return, before the block is solved."""
+    b = np.empty(f.shape, complex, order="F")
+    for bj, fj in zip(b.T, f.T):
+        bj[:] = fj
+    return b
+
+
 def _solve_gated(op: DiscreteOperator, k2: complex, f):
     """resolvent_apply's solve and per-column gate for a finite right-hand side f,
-    an (n, m) array or a _WithUnit block; returns the solution with the residual
+    an (n, m) array or a _SideBattery; returns the solution with the residual
     norms it gated and its squared column norms.
 
     f is copied once into a complex Fortran-ordered block, which LAPACK solves
     in place and which becomes the solution; f itself is read, never written.
     """
-    b = np.empty(f.shape, complex, order="F")
-    for bj, fj in zip(b.T, f.T):
-        bj[:] = fj
+    b = _complex_block(f)
     fnorm = np.sqrt(_sq_norms(b))
     try:
         x = solve_banded((op.w, op.w), op.shifted_banded(k2), b)
@@ -413,9 +415,11 @@ def resolvent_apply(op: DiscreteOperator, k2: complex, f: np.ndarray) -> np.ndar
     these checks through the same routine, which also returns the norms.
     f is copied once, into the complex block that LAPACK solves in place and
     returns as x; f itself is never modified.
-    Raises InvalidInputError unless k2 is one finite number off the real axis
-    and f a finite real or complex array of those shapes (the gate in ``errors``).
+    Raises InvalidInputError unless k2 is one finite number off the real axis,
+    f a finite real or complex array of those shapes and op's band array ab
+    finite, its unread corners included (the gate in ``errors``).
     """
+    _array(op.ab, "resolvent_apply: op", "biufc")
     k2, f = _array(k2, "resolvent_apply: k2", "biufc"), _array(f, "resolvent_apply: f", "biufc")
     if k2.ndim or k2.imag == 0.0:
         raise InvalidInputError(f"resolvent_apply: k2 must have nonzero imaginary part, got {k2}")
@@ -439,20 +443,73 @@ class ConvergenceReport:
         return self.limit_kind.theta if isinstance(self.limit_kind, Resonant) else None
 
 
+def _test_function(j: int, x: np.ndarray) -> np.ndarray:
+    """Column j < 3 of the battery before normalization, at the ascending nodes x:
+    the Gaussians exp(-(x - x0)^2/(2*0.5^2)) at x0 = -1 and +1, then the bump
+    exp(-1/(1 - t^2)) on |t| < 1, t = (x - 1)/0.5, and 0 elsewhere.  Built in
+    one new array, in place, with the operations of those formulas."""
+    f = np.subtract(x, (-1.0, 1.0, 1.0)[j])
+    if j < 2:
+        np.square(f, out=f)
+        np.negative(f, out=f)
+        f /= 2 * 0.5**2
+        return np.exp(f, out=f)
+    f /= 0.5  # t, ascending with x, so |t| < 1 on one run of nodes
+    lo, hi = np.searchsorted(f, -1.0, "right"), np.searchsorted(f, 1.0, "left")
+    f[:lo] = f[hi:] = 0.0
+    t = f[lo:hi]
+    np.square(t, out=t)
+    np.subtract(1.0, t, out=t)
+    np.divide(-1.0, t, out=t)
+    np.exp(t, out=t)
+    return f
+
+
+def _test_functions(grid: Grid) -> tuple[list[np.ndarray], list[float]]:
+    """default_test_functions(grid) and the scales sqrt(h)*||f_j|| that its
+    columns were divided by, each in place."""
+    x = grid.nodes()
+    fs = [_test_function(j, x) for j in range(3)]
+    scales = [math.sqrt(grid.h) * np.linalg.norm(f) for f in fs]
+    for f, s in zip(fs, scales):
+        f /= s
+    return fs, scales
+
+
 def default_test_functions(grid: Grid) -> list[np.ndarray]:
     """Unit-normalized battery: Gaussians centred at -1 and +1 (width 0.5)
     and a smooth bump supported in [0.5, 1.5]."""
-    x = grid.nodes()
-    fs = []
-    for x0 in (-1.0, 1.0):
-        fs.append(np.exp(-((x - x0) ** 2) / (2 * 0.5**2)))
-    t = (x - 1.0) / 0.5
-    bump = np.zeros_like(x)
-    inside = np.abs(t) < 1.0
-    bump[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
-    fs.append(bump)
-    h = grid.h
-    return [f / (math.sqrt(h) * np.linalg.norm(f)) for f in fs]
+    return _test_functions(grid)[0]
+
+
+class _SideBattery(NamedTuple):
+    """The right-hand side [F_side | e] of an exterior solve on the grid's nodes
+    [lo, hi): the battery's columns there, each divided by its full-grid scale
+    as in default_test_functions (the same bits, since every operation is
+    pointwise), then the unit vector e at row ``row``.  Like an (n, m) array
+    it has a shape, and iterating its ``T`` yields its columns, each evaluated
+    when it is reached: an iteration holds the side's nodes and one column."""
+
+    grid: Grid
+    lo: int
+    hi: int
+    scales: list[float]
+    row: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.hi - self.lo, len(self.scales) + 1
+
+    @property
+    def T(self):
+        x = _nodes(self.grid, self.lo, self.hi)
+        for j, s in enumerate(self.scales):
+            f = _test_function(j, x)
+            f /= s
+            yield f
+        e = np.zeros(len(x))
+        e[self.row] = 1.0
+        yield e
 
 
 @dataclass(frozen=True)
@@ -477,15 +534,15 @@ class _Exterior:
         _read_only(self.y_end, self.y_sq, self.gy, self.y_res)
 
 
-def _solve_exterior(h: float, k2: complex, F: np.ndarray, inner: int, end: int) -> _Exterior:
-    """Solve the free rows on F's nodes for F and the unit vector at row inner,
-    as one block."""
-    n, m = F.shape
+def _solve_exterior(h: float, k2: complex, f: _SideBattery, end: int) -> _Exterior:
+    """Solve the free rows on f's nodes for the battery and the unit vector at
+    row f.row, as one block."""
+    n, m, inner = f.shape[0], f.shape[1] - 1, f.row  # m battery columns, then e
     inv_h2 = 1.0 / (h * h)
     rows = np.array([[-inv_h2], [2.0 * inv_h2], [-inv_h2]])
     op = DiscreteOperator(np.broadcast_to(rows, (3, n)), "free")  # _free_rows(n, h), O(1) memory
     what = f"study ({'left' if end == 0 else 'right'} exterior)"
-    Z, res, z_sq = _sub_solve(what, op, k2, _WithUnit(F, inner))
+    Z, res, z_sq = _sub_solve(what, op, k2, f)
     gz = np.einsum("i,ij->j", Z[:, m].conj(), Z)
     y_end = Z[inner, :m].copy()  # a view would keep the block's solution Z alive
     return _Exterior(end, y_end, Z[inner, m], z_sq[:m], gz[:m], gz[m].real, res[:m], res[m])
@@ -505,17 +562,31 @@ class _Battery:
         _read_only(self.F, self.fnorm)
 
 
+def _window_battery(grid: Grid, a: int, b: int):
+    """The battery F (N, 3)'s rows on W = [a, b), its column norms ||F_j|| and
+    the scales its columns were divided by; F is dropped on return."""
+    fs, scales = _test_functions(grid)
+    F = np.column_stack(fs)
+    return F[a:b].copy(), np.sqrt(_sq_norms(F)), scales
+
+
 @lru_cache(maxsize=BATTERY_CACHE_SIZE)
 def _default_battery(grid: Grid, a: int, b: int) -> _Battery:
     """default_test_functions(grid) reduced to W = [a, b), the exterior blocks
-    outside W solved and gated; kept across calls (module docstring)."""
-    F = np.column_stack(default_test_functions(grid))
+    outside W solved and gated; kept across calls (module docstring).
+
+    No full-length array outlives its use: the battery F is formed once, for
+    W's rows, the column norms and the column scales, and each exterior reads
+    the battery evaluated on its own nodes, at most one column at a time."""
+    rows, fnorm, scales = _window_battery(grid, a, b)
     sides = []
     if a > 0:
-        sides.append(_solve_exterior(grid.h, DEFAULT_K2, F[:a], a - 1, 0))
+        left = _SideBattery(grid, 0, a, scales, a - 1)
+        sides.append(_solve_exterior(grid.h, DEFAULT_K2, left, 0))
     if b < grid.N:
-        sides.append(_solve_exterior(grid.h, DEFAULT_K2, F[b:], 0, -1))
-    return _Battery(F[a:b].copy(), np.sqrt(_sq_norms(F)), tuple(sides))
+        right = _SideBattery(grid, b, grid.N, scales, 0)
+        sides.append(_solve_exterior(grid.h, DEFAULT_K2, right, -1))
+    return _Battery(rows, fnorm, tuple(sides))
 
 
 def _solve_window(
@@ -596,7 +667,10 @@ def study(
     Schur complement, and the error adds the rank-one exterior tails
     h^-2*|dX_end|*||g|| (module docstring).  Each sub-solve is gated once by
     the routine behind resolvent_apply, and its residual norms bound the
-    operator's full-system residual, gated at the same threshold.
+    operator's full-system residual, gated at the same threshold.  A cold
+    call holds the full battery only while it takes W's rows and the column
+    norms from it; each exterior evaluates the battery on its own nodes, and
+    the call peaks at about 57 bytes per grid node (module docstring).
 
     Entries carry about 1e-9 relative LAPACK rounding at the default N =
     204,800, where cond(A - k2) ~ 1e8: a comparison tighter than 1e-8 tests
@@ -626,7 +700,7 @@ def study(
 
     a, b = _window(profile, eps_arr[0], grid)
     h = grid.h
-    x = -grid.L + h * np.arange(a + 1, b + 1)  # grid.nodes()[a:b]
+    x = _nodes(grid, a, b)
     ops = [_limit_rows(c, h, b - a, grid.interface[0] - a)]
     ops += [_seps_rows(profile, alpha, eps, h, x) for eps in eps_arr]
     battery = _default_battery(grid, a, b)

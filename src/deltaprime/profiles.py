@@ -178,9 +178,11 @@ class PotentialProfile:
         """
         arr = _array(x, "PotentialProfile.eval: x").astype(float, copy=False)
         cells = self.cells
-        rows = np.clip(np.searchsorted(cells.edges, arr, side="right") - 1, 0, cells.origin.size - 1)
+        rows = np.searchsorted(cells.edges, arr, side="right") - 1  # clipped into the table by take
+        coeffs = np.take(cells.coeffs, rows, axis=0, mode="clip")
+        psi = _horner(coeffs, arr - np.take(cells.origin, rows, mode="clip"))
         lo, hi = self.support
-        out = np.where(arr == hi, cells.end, cells.values(rows, arr))
+        out = np.where(arr == hi, cells.end, psi)
         out = np.where((arr >= lo) & (arr <= hi), out, 0.0)
         return float(out) if out.ndim == 0 else out
 

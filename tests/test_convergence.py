@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -349,6 +350,51 @@ def test_resolvent_rejects_bad_blocks():
         resolvent_apply(op, 1j, F)
 
 
+def _poisoned(w, on_diagonal, value):
+    """A w-banded operator of small_grid() with value at one entry of its band."""
+    op = discretize_limit(Resonant(2.0) if w == 2 else NonResonant(), small_grid())
+    assert op.w == w
+    ab = op.ab.copy()
+    ab[w if on_diagonal else w - 1, 100] = value
+    return DiscreteOperator(ab, op.kind, op.params)
+
+
+NON_FINITE_BANDS = pytest.mark.parametrize(
+    "w, on_diagonal, value",
+    [
+        pytest.param(w, d, v, id=f"w{w}-{'diag' if d else 'off'}-{v}")
+        for w in (1, 2)
+        for d in (True, False)
+        for v in (np.nan, np.inf)
+    ],
+)
+
+
+@NON_FINITE_BANDS
+def test_resolvent_rejects_a_non_finite_band(w, on_diagonal, value):
+    op = _poisoned(w, on_diagonal, value)
+    with pytest.raises(InvalidInputError, match=r"^resolvent_apply: op must be finite$"):
+        resolvent_apply(op, 1j, np.ones(op.n))
+
+
+@NON_FINITE_BANDS
+def test_solve_gate_fails_a_non_finite_band(w, on_diagonal, value):
+    """Past the input gate a non-finite band still fails: a NaN spreads into x,
+    and an inf on the diagonal solves to a finite x whose residual is NaN."""
+    op = _poisoned(w, on_diagonal, value)
+    with np.errstate(invalid="ignore"):  # inf * 0 in the residual
+        with pytest.raises(NumericalFailureError, match="^resolvent_apply: "):
+            deltaprime.convergence._solve_gated(op, 1j, np.ones((op.n, 1)))
+
+
+def test_residual_gate_fails_a_non_finite_residual():
+    """NaN > bound is False: the gate must fail a NaN residual, not pass it."""
+    with pytest.raises(NumericalFailureError, match="residual nan in column 1"):
+        deltaprime.convergence._gate_residuals(
+            "resolvent_apply", np.array([0.0, np.nan]), np.ones(2), np.ones(2), 256, 1.0, 1j
+        )
+
+
 def test_resolvent_gate_is_per_column(seba, monkeypatch):
     g = small_grid()
     op = discretize_seps(seba, 18.1746, 0.5, g)
@@ -384,6 +430,49 @@ def test_default_test_functions_normalized():
     bump = fs[2]
     x = g.nodes()
     assert np.all(bump[(x < 0.5) | (x > 1.5)] == 0.0)
+
+
+def _formula_battery(grid):
+    """default_test_functions as whole-array expressions, the reference for the
+    in-place column builder."""
+    x = grid.nodes()
+    fs = []
+    for x0 in (-1.0, 1.0):
+        fs.append(np.exp(-((x - x0) ** 2) / (2 * 0.5**2)))
+    t = (x - 1.0) / 0.5
+    bump = np.zeros_like(x)
+    inside = np.abs(t) < 1.0
+    bump[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
+    fs.append(bump)
+    h = grid.h
+    return [f / (math.sqrt(h) * np.linalg.norm(f)) for f in fs]
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        small_grid(),
+        small_grid(L=20.0, N=2048),
+        Grid(L=1.2, N=64),  # the bump's support reaches past the last node
+        make_grid(0.025, L=8.0, resolution=32),
+        make_grid(min(DEFAULT_EPS_LIST), resolution=128),
+    ],
+    ids=["L2", "L20", "short", "L8", "default"],
+)
+def test_default_test_functions_match_the_formulas_bit_for_bit(grid):
+    got, want = default_test_functions(grid), _formula_battery(grid)
+    assert len(got) == len(want) == 3
+    for f, ref in zip(got, want):
+        assert f.dtype == ref.dtype and np.array_equal(f, ref)
+
+
+def test_default_test_functions_build_in_place():
+    """The battery returns 24 bytes per node; in place it peaks at its columns
+    and the grid's nodes.  Whole-array temporaries read about 65."""
+    g = make_grid(min(DEFAULT_EPS_LIST), resolution=128)
+    assert g.N == 204_800
+    default_test_functions(g)
+    assert _traced_peak(lambda: default_test_functions(g)) <= 40 * g.N
 
 
 def test_study_rejects_zero_profile(zero):
@@ -582,8 +671,8 @@ def _full_grid_study(profile, alpha, eps_list, grid, test_functions=None):
     return entries, c
 
 
-def _custom_battery(grid):
-    x = grid.nodes()
+def _custom_battery(x):
+    """Three columns at the nodes x, which study reads through _test_function."""
     inside = np.where(np.abs(x) < 0.02, np.cos(25.0 * np.pi * x) ** 2, 0.0)  # within W only
     left = np.where(x < -1.0, np.exp(-((x + 2.0) ** 2)), 0.0)  # left exterior only
     return [inside, left, np.sin(x) * np.exp(-(x**2) / 4.0)]
@@ -614,9 +703,10 @@ def _equivalence_case(case):
 def test_study_matches_full_grid_algorithm(monkeypatch, case):
     profile, alpha, eps_list, grid, battery = _equivalence_case(case)
     grid = grid or make_grid(min(eps_list), L=8.0, resolution=32)
-    want, c = _full_grid_study(profile, alpha, eps_list, grid, battery(grid) if battery else None)
+    fs = battery(grid.nodes()) if battery else None
+    want, c = _full_grid_study(profile, alpha, eps_list, grid, fs)
     if battery:
-        monkeypatch.setattr(deltaprime.convergence, "default_test_functions", battery)
+        monkeypatch.setattr(deltaprime.convergence, "_test_function", lambda j, x: battery(x)[j])
     calls = []
     real = deltaprime.convergence.solve_banded
 
@@ -786,11 +876,7 @@ def _copying_solve_gated(op, k2, f):
     as a float or complex block, a C-ordered complex copy of it that scipy copies
     again into LAPACK's layout, and the residual formed on that whole block."""
     conv = deltaprime.convergence
-    cols = f
-    if isinstance(f, conv._WithUnit):
-        cols = np.zeros(f.shape)
-        cols[:, :-1] = f.F
-        cols[f.row, -1] = 1.0
+    cols = f if isinstance(f, np.ndarray) else np.column_stack([*f.T])  # an exterior's [F | e]
     x = conv.solve_banded((op.w, op.w), op.shifted_banded(k2), cols.astype(complex))
     assert np.all(np.isfinite(x))
     rnorm, x_sq = conv._residual_norms(op, k2, x, cols), conv._sq_norms(x)
@@ -837,6 +923,62 @@ def test_in_place_solves_match_the_copying_path_bit_for_bit(seba, step, monkeypa
         assert np.array_equal(x, ref)
 
 
+class _WithUnit(NamedTuple):
+    """An exterior's right-hand side [F | e] read from the full battery F where
+    it lies, with the unit vector e at row ``row``."""
+
+    F: np.ndarray
+    row: int
+
+    @property
+    def shape(self):
+        return len(self.F), self.F.shape[1] + 1
+
+    @property
+    def T(self):
+        e = np.zeros(len(self.F))
+        e[self.row] = 1.0
+        return [*self.F.T, e]
+
+
+def _full_length_battery(grid, a, b):
+    """_default_battery with the battery F (N, 3) kept through both exterior
+    solves, which read their rows of F: the reference for the side evaluation."""
+    conv = deltaprime.convergence
+    F = np.column_stack(_formula_battery(grid))
+    sides = []
+    if a > 0:
+        sides.append(conv._solve_exterior(grid.h, conv.DEFAULT_K2, _WithUnit(F[:a], a - 1), 0))
+    if b < grid.N:
+        sides.append(conv._solve_exterior(grid.h, conv.DEFAULT_K2, _WithUnit(F[b:], 0), -1))
+    return conv._Battery(F[a:b].copy(), np.sqrt(conv._sq_norms(F)), tuple(sides))
+
+
+@pytest.mark.parametrize("case", ["connected", "off-centre"])
+def test_side_battery_matches_the_full_length_battery_bit_for_bit(monkeypatch, case):
+    """Each exterior evaluates the battery on its own nodes, pointwise as on the
+    whole grid, so every battery field and study entry keeps its last bit."""
+    conv = deltaprime.convergence
+    profile, alpha, *_ = _equivalence_case(case)
+    g = make_grid(0.025, L=8.0, resolution=32)
+    a, b = conv._window(profile, DEFAULT_EPS_LIST[0], g)
+    if case == "off-centre":
+        assert a != g.N - b  # sides of unequal length
+    conv._default_battery.cache_clear()
+    got, want = conv._default_battery(g, a, b), _full_length_battery(g, a, b)
+    for name in ("F", "fnorm"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert len(got.sides) == len(want.sides) == 2
+    for side, ref in zip(got.sides, want.sides):
+        for name in ("end", "y_end", "g_end", "y_sq", "gy", "g_sq", "y_res", "g_res"):
+            assert np.array_equal(getattr(side, name), getattr(ref, name)), name
+    rep = study(profile, alpha, grid=g)
+    monkeypatch.setattr(conv, "_default_battery", _full_length_battery)
+    ref = study(profile, alpha, grid=g)
+    assert rep == ref
+    assert repr(rep.fitted_rate) == repr(ref.fitted_rate)
+
+
 def test_study_sub_solve_failures_name_the_sub_solve(seba, monkeypatch):
     """A breakdown or a non-finite solution inside study names its sub-solve;
     resolvent_apply keeps its own label."""
@@ -875,15 +1017,17 @@ def _traced_peak(run):
 
 def test_cold_study_and_resolvent_apply_peak_memory(seba):
     """A cold default study's exterior solves and a full-grid resolvent_apply
-    hold one complex copy of the right-hand side, which LAPACK solves in place:
-    at N = 51,200 they peak at 87 and 99 bytes per node.  A second copy of the
-    right-hand side per solve reads 141 and 144."""
+    hold one complex copy of the right-hand side, which LAPACK solves in place,
+    and the study's exterior solves no full-length battery beside it: at
+    N = 51,200 they peak at 57 and 99 bytes per node.  Holding the battery
+    through the exterior solves reads 87, and a second copy of the
+    right-hand side per solve 141 and 144."""
     g = make_grid(min(DEFAULT_EPS_LIST), resolution=32)
     assert g.N == 51_200
     warm_up = make_grid(min(DEFAULT_EPS_LIST), L=4.0, resolution=16)
     study(seba, 18.1746, grid=warm_up)  # lazy imports and classify's first shoots
     deltaprime.convergence._default_battery.cache_clear()
-    assert _traced_peak(lambda: study(seba, 18.1746, grid=g)) <= 100 * g.N
+    assert _traced_peak(lambda: study(seba, 18.1746, grid=g)) <= 64 * g.N
     op = discretize_seps(seba, 18.1746, min(DEFAULT_EPS_LIST), g)
     F = np.column_stack(default_test_functions(g))
     solutions = []
